@@ -209,17 +209,7 @@ func (p *prober) check(s site) []bender.Flip {
 		// through the shared accrual walk (dram/accrual.go).
 		preAt := now + t.TRAS
 		off := p.prevOff(v, now)
-		p.b.Mod.AccrueOne(v, t.TRAS, off, p.b.Mod.TemperatureAt(preAt),
-			func(victim int, above bool, h, pr float64) {
-				e := p.expOf(victim)
-				if above {
-					e.HammerAbove += h
-					e.PressAbove += pr
-				} else {
-					e.HammerBelow += h
-					e.PressBelow += pr
-				}
-			})
+		p.b.Mod.AccrueOne(v, t.TRAS, off, p.b.Mod.TemperatureAt(preAt), p.expOf)
 		p.lastPre[v] = preAt
 		p.b.Advance(t.TRAS + t.TRP)
 	}

@@ -15,7 +15,7 @@ var (
 
 // hammerKernel returns the per-activation RowHammer damage at distance 1,
 // normalized to 1.0 at reference conditions and 50 °C.
-func (p Params) hammerKernel(onS, offS, tempC float64) float64 {
+func (p *Params) hammerKernel(onS, offS, tempC float64) float64 {
 	// Off-time dependence: injected charge needs off-time to act on the
 	// victim (trap recombination, §5.4 footnote 19). Saturating in offS.
 	off := offS / (offS + p.HammerOffTau)
@@ -51,7 +51,7 @@ func (p Params) hammerKernel(onS, offS, tempC float64) float64 {
 //
 // Sub-linear below the knee θ, asymptotically linear above it: in the
 // linear regime AC × tAggON ≈ const gives the −1 log-log ACmin slope.
-func (p Params) pressKernel(onS float64) float64 {
+func (p *Params) pressKernel(onS float64) float64 {
 	extra := onS - refOnS
 	if extra <= 0 {
 		return 0
@@ -60,7 +60,7 @@ func (p Params) pressKernel(onS float64) float64 {
 }
 
 // pressTempFactor scales press damage with temperature (Obsv. 9/11).
-func (p Params) pressTempFactor(tempC float64) float64 {
+func (p *Params) pressTempFactor(tempC float64) float64 {
 	return math.Pow(p.PressTempFactor30, (tempC-50)/30)
 }
 

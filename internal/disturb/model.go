@@ -17,6 +17,7 @@ type Model struct {
 	rowBits  int
 	tempC    float64 // evaluation temperature for coupling interpolation
 	trial    uint64  // per-trial jitter salt; 0 = no jitter
+	headroom float64 // jitterHeadroom(p.TrialJitter), fixed with p
 	cache    map[uint64]*rowProfile
 }
 
@@ -39,6 +40,7 @@ func NewModel(p Params, geo dram.Geometry, seed uint64) *Model {
 		rowBytes: geo.RowBytes,
 		rowBits:  geo.BitsPerRow(),
 		tempC:    50,
+		headroom: jitterHeadroom(p.TrialJitter),
 		cache:    make(map[uint64]*rowProfile),
 	}
 }
@@ -128,7 +130,7 @@ func (m *Model) applyPress(prof *rowProfile, data []byte, nb dram.NeighborData, 
 	cplC := tempInterp(m.p.PressCplCharged50, m.p.PressCplCharged80, m.tempC)
 	cplD := tempInterp(m.p.PressCplDischgd50, m.p.PressCplDischgd80, m.tempC)
 	rho := tempInterp(m.p.PressCrossPenalty50, m.p.PressCrossPenalty80, m.tempC)
-	maxDamage := (pa + pb) * math.Max(cplC, cplD) * jitterHeadroom(m.p.TrialJitter)
+	maxDamage := (pa + pb) * math.Max(cplC, cplD) * m.headroom
 	flips := 0
 	for i := range prof.press {
 		c := &prof.press[i]
@@ -169,7 +171,7 @@ func (m *Model) applyHammer(prof *rowProfile, data []byte, nb dram.NeighborData,
 	// fewer total activations than single-sided.
 	cross := 2 * m.p.HammerCrossBoost * math.Sqrt(ha*hb)
 	cplC, cplD := m.p.HammerCplCharged, m.p.HammerCplDischgd
-	maxDamage := (ha + hb + cross) * math.Max(cplC, cplD) * jitterHeadroom(m.p.TrialJitter)
+	maxDamage := (ha + hb + cross) * math.Max(cplC, cplD) * m.headroom
 	flips := 0
 	for i := range prof.hammer {
 		c := &prof.hammer[i]
@@ -203,7 +205,7 @@ func (m *Model) applyRetention(prof *rowProfile, data []byte, exp dram.Exposure,
 	if exp.Retention <= 0 {
 		return 0
 	}
-	limit := exp.Retention * jitterHeadroom(m.p.TrialJitter)
+	limit := exp.Retention * m.headroom
 	flips := 0
 	for i := range prof.retention {
 		c := &prof.retention[i]

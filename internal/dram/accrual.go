@@ -1,19 +1,80 @@
 package dram
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // Closed-form exposure accrual.
 //
 // HammerIncrement and PressIncrement are pure in (onTime, offTime, tempC,
 // distance), so a periodic loop's disturbance is Count × per-slot
 // increment — there is no need to walk the loop slot by slot. This file
-// is the single source of truth for that closed form: the batched
-// executor (HammerBatch) and the replay-free pure probe (HammerExposures,
-// and internal/characterize's search prober on top of it) both drive
-// accrueSpec, so they perform bit-identical floating-point operations in
-// bit-identical order. That shared order is what lets the golden-report
-// tests demand byte equality between the per-command path and the closed
-// form.
+// is the single source of truth for that closed form and for the kernel
+// values it multiplies: every accrual path — the per-command PRE path,
+// the batched executor (HammerBatch), the replay-free pure probe
+// (HammerExposures, and internal/characterize's search prober on top of
+// it through AccrueOne) and the fetch probes — drives accrueSpec, so they
+// perform bit-identical floating-point operations in bit-identical order.
+// That shared order is what lets the golden-report tests demand byte
+// equality between the per-command path and the closed form.
+//
+// The kernel values themselves come from the module's increment table
+// (incFor): a direct-mapped cache of the per-distance increments of one
+// exact (onTime, offTime, tempC) key. A trace uses few distinct keys — a
+// periodic pattern has one steady-state key per aggressor timing — so the
+// Disturber runs once per key instead of once per activation, and a hit
+// returns the very float64 values a fresh evaluation would.
+
+// incTableBits sizes the increment table at 1<<incTableBits entries,
+// from a count of keys on the golden-option runs: a scenario module sees
+// 3–4 distinct keys (at most 10), a fig23/fig49 attack module 46–47 over
+// the whole run but only a few at a time. With 32 entries the scenario
+// and fig23 traces miss only on a key's first use (scenario-mitigation
+// 1320 misses in 24.9M lookups, scenario-grid 502 in 7.7M, fig23 139 in
+// 6.9M); in fig49 two hot keys share an entry and 1.9% of 13.5M lookups
+// miss, which 64 entries would avoid at twice the per-module memory. At
+// 16 entries 5–8% of the lookups of every trace miss.
+const incTableBits = 5
+
+// incEntry is one increment-table entry: the Disturber's per-distance
+// increments for one exact key, indexed by distance−1.
+type incEntry struct {
+	onTime, offTime TimePS
+	tempBits        uint64 // math.Float64bits(tempC): keys compare exactly
+	valid           bool
+	hammer, press   [BlastRadius]float64
+}
+
+// incSlot is a key's increment-table index: the key folded into one
+// word, then the MurmurHash3 finalizer so every key bit reaches the top
+// bits the index takes.
+func incSlot(onTime, offTime TimePS, tempBits uint64) uint64 {
+	h := (uint64(onTime)*0x9E3779B97F4A7C15^uint64(offTime))*0xBF58476D1CE4E5B9 ^ tempBits
+	h ^= h >> 33
+	h *= 0xFF51AFD7ED558CCD
+	h ^= h >> 33
+	h *= 0xC4CEB9FE1A85EC53
+	h ^= h >> 33
+	return h >> (64 - incTableBits)
+}
+
+// incFor returns the table entry for (onTime, offTime, tempC), filling it
+// through the Disturber on a miss. The Disturber's increment methods are
+// pure, so a hit is indistinguishable from a fresh evaluation.
+func (m *Module) incFor(onTime, offTime TimePS, tempC float64) *incEntry {
+	tb := math.Float64bits(tempC)
+	e := &m.incs[incSlot(onTime, offTime, tb)]
+	if e.valid && e.onTime == onTime && e.offTime == offTime && e.tempBits == tb {
+		return e
+	}
+	e.onTime, e.offTime, e.tempBits, e.valid = onTime, offTime, tb, true
+	for d := 1; d <= BlastRadius; d++ {
+		e.hammer[d-1] = m.dist.HammerIncrement(onTime, offTime, tempC, d)
+		e.press[d-1] = m.dist.PressIncrement(onTime, offTime, tempC, d)
+	}
+	return e
+}
 
 // AggSchedule describes one aggressor row's share of a HammerSpec loop:
 // Count activations split round-robin across spec.Rows.
@@ -51,34 +112,49 @@ func (s HammerSpec) SteadyOff(t Timing) TimePS {
 
 // accrueSpec delivers n activation increments from aggRow to every
 // non-skipped row inside the blast radius, folding the n slots into one
-// multiply. add receives (victim row, aggressor-above?, hammer, press) in
-// a fixed order — distance ascending, lower victim before upper — which
-// every accrual path must share for float-exact equivalence.
-func accrueSpec(dist Disturber, rowsPerBank, aggRow int, onTime, offTime TimePS, tempC float64,
-	n int, skip map[int]bool, add func(victim int, above bool, h, p float64)) {
+// multiply. Victims are visited in a fixed order — distance ascending,
+// lower victim (whose aggressor sits above) before upper — which every
+// accrual path shares for float-exact equivalence. The increments land in
+// the exposure to(victim) returns, or in the module's own rows of bank
+// when to is nil (the PRE path and HammerBatch).
+func (m *Module) accrueSpec(bank, aggRow int, onTime, offTime TimePS, tempC float64,
+	n int, skip map[int]bool, to func(victim int) *Exposure) {
+	inc := m.incFor(onTime, offTime, tempC)
 	fn := float64(n)
 	for d := 1; d <= BlastRadius; d++ {
-		h := dist.HammerIncrement(onTime, offTime, tempC, d) * fn
-		p := dist.PressIncrement(onTime, offTime, tempC, d) * fn
+		h := inc.hammer[d-1] * fn
+		p := inc.press[d-1] * fn
 		if h == 0 && p == 0 {
 			continue
 		}
-		if v := aggRow - d; v >= 0 && !skip[v] {
-			add(v, true, h, p)
+		if v := aggRow - d; v >= 0 && (skip == nil || !skip[v]) {
+			e := m.victimExp(bank, v, to)
+			e.HammerAbove += h
+			e.PressAbove += p
 		}
-		if v := aggRow + d; v < rowsPerBank && !skip[v] {
-			add(v, false, h, p)
+		if v := aggRow + d; v < m.Geo.RowsPerBank && (skip == nil || !skip[v]) {
+			e := m.victimExp(bank, v, to)
+			e.HammerBelow += h
+			e.PressBelow += p
 		}
 	}
 }
 
+// victimExp resolves accrueSpec's target exposure for one victim.
+func (m *Module) victimExp(bank, victim int, to func(int) *Exposure) *Exposure {
+	if to == nil {
+		return &m.row(bank, victim).exp
+	}
+	return to(victim)
+}
+
 // AccrueOne walks one activation's blast-radius increments (aggRow open
-// for onTime after offTime) through the shared accrual order, handing
-// each (victim, aggressor-above?, hammer, press) increment to add.
-// External probe harnesses use it so their overlays perform the same
-// float operations as the module's own PRE path.
-func (m *Module) AccrueOne(aggRow int, onTime, offTime TimePS, tempC float64, add func(victim int, above bool, h, p float64)) {
-	accrueSpec(m.dist, m.Geo.RowsPerBank, aggRow, onTime, offTime, tempC, 1, nil, add)
+// for onTime after offTime) through the shared accrual order, adding each
+// victim's increment to the exposure to(victim) returns (to must not be
+// nil). External probe harnesses use it so their overlays perform the
+// same float operations as the module's own PRE path.
+func (m *Module) AccrueOne(aggRow int, onTime, offTime TimePS, tempC float64, to func(victim int) *Exposure) {
+	m.accrueSpec(0, aggRow, onTime, offTime, tempC, 1, nil, to)
 }
 
 // VictimExposure is the closed-form exposure delta a hammer loop delivers
@@ -118,28 +194,22 @@ func (m *Module) HammerExposures(at TimePS, spec HammerSpec, firstOff func(row i
 	tempC := m.TemperatureAt(at)
 
 	deltas := make(map[int]*Exposure)
-	add := func(victim int, above bool, h, p float64) {
+	to := func(victim int) *Exposure {
 		e := deltas[victim]
 		if e == nil {
 			e = &Exposure{}
 			deltas[victim] = e
 		}
-		if above {
-			e.HammerAbove += h
-			e.PressAbove += p
-		} else {
-			e.HammerBelow += h
-			e.PressBelow += p
-		}
+		return e
 	}
 	for idx, ag := range sched {
 		if ag.Acts == 0 {
 			continue
 		}
 		fOff := firstOff(ag.Row, at+TimePS(idx)*slot)
-		accrueSpec(m.dist, m.Geo.RowsPerBank, ag.Row, spec.OnTime, fOff, tempC, 1, isAggressor, add)
+		m.accrueSpec(spec.Bank, ag.Row, spec.OnTime, fOff, tempC, 1, isAggressor, to)
 		if ag.Acts > 1 {
-			accrueSpec(m.dist, m.Geo.RowsPerBank, ag.Row, spec.OnTime, steadyOff, tempC, ag.Acts-1, isAggressor, add)
+			m.accrueSpec(spec.Bank, ag.Row, spec.OnTime, steadyOff, tempC, ag.Acts-1, isAggressor, to)
 		}
 	}
 

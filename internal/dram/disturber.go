@@ -34,6 +34,13 @@ type NeighborData struct {
 // Disturber computes read-disturbance physics for a module. Implementations
 // must be pure with respect to the per-(bank,row) cell populations they
 // sample, so that repeated evaluation is reproducible.
+//
+// HammerIncrement, PressIncrement and RetentionAccel must be pure
+// functions of their arguments for the Disturber's whole lifetime: the
+// module evaluates each (onTime, offTime, tempC) key once into its
+// increment table (accrual.go) and each schedule temperature once into
+// its temperature schedule, and reuses those values for every later
+// activation and restore.
 type Disturber interface {
 	// HammerIncrement is the per-activation RowHammer damage delivered to a
 	// victim `distance` rows away, given the aggressor's row-open time, the

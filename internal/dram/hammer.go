@@ -117,26 +117,16 @@ func (m *Module) HammerBatch(at TimePS, spec HammerSpec) (TimePS, error) {
 	// Phase 2: bulk-accrue disturbance to non-aggressor victims through the
 	// shared closed form. The first activation uses the off time preceding
 	// the loop; the rest use the steady-state off time.
-	addExposure := func(victim int, above bool, h, p float64) {
-		rs := m.row(spec.Bank, victim)
-		if above {
-			rs.exp.HammerAbove += h
-			rs.exp.PressAbove += p
-		} else {
-			rs.exp.HammerBelow += h
-			rs.exp.PressBelow += p
-		}
-	}
+	tempC := m.TemperatureAt(at)
 	for idx, ag := range sched {
 		if ag.Acts == 0 {
 			continue
 		}
 		firstActAt := at + TimePS(idx)*slot
 		firstOff := m.prevOff(spec.Bank, ag.Row, firstActAt)
-		tempC := m.TemperatureAt(at)
-		accrueSpec(m.dist, m.Geo.RowsPerBank, ag.Row, spec.OnTime, firstOff, tempC, 1, isAggressor, addExposure)
+		m.accrueSpec(spec.Bank, ag.Row, spec.OnTime, firstOff, tempC, 1, isAggressor, nil)
 		if ag.Acts > 1 {
-			accrueSpec(m.dist, m.Geo.RowsPerBank, ag.Row, spec.OnTime, steadyOff, tempC, ag.Acts-1, isAggressor, addExposure)
+			m.accrueSpec(spec.Bank, ag.Row, spec.OnTime, steadyOff, tempC, ag.Acts-1, isAggressor, nil)
 		}
 	}
 
@@ -164,7 +154,7 @@ func (m *Module) HammerBatch(at TimePS, spec HammerSpec) (TimePS, error) {
 		if s == actIdx { // this slot is the aggressor's first activation
 			off = m.prevOff(spec.Bank, actRow, at+TimePS(s)*slot)
 		}
-		tempC := m.TemperatureAt(at)
+		inc := m.incFor(spec.OnTime, off, tempC)
 		for j, victim := range spec.Rows {
 			if j == actIdx || sched[j].LastSlot >= s || sched[j].Acts == 0 {
 				continue
@@ -177,8 +167,7 @@ func (m *Module) HammerBatch(at TimePS, spec HammerSpec) (TimePS, error) {
 				continue
 			}
 			rs := m.row(spec.Bank, victim)
-			h := m.dist.HammerIncrement(spec.OnTime, off, tempC, d)
-			p := m.dist.PressIncrement(spec.OnTime, off, tempC, d)
+			h, p := inc.hammer[d-1], inc.press[d-1]
 			if actRow > victim {
 				rs.exp.HammerAbove += h
 				rs.exp.PressAbove += p

@@ -41,9 +41,13 @@ type rowState struct {
 	epoch       uint32 // checkpoint journal stamp (see snapshot.go)
 }
 
+// tempPoint is one step of the temperature schedule. accel caches the
+// Disturber's RetentionAccel(tempC), which is pure, so retention
+// integration never re-evaluates it per restore.
 type tempPoint struct {
 	at    TimePS
 	tempC float64
+	accel float64
 }
 
 // Module is a simulated DDR4 DRAM module. All commands carry explicit
@@ -74,6 +78,8 @@ type Module struct {
 
 	journal journal // active checkpoint state (see snapshot.go)
 
+	incs [1 << incTableBits]incEntry // kernel increment table (see accrual.go)
+
 	// Stats counters, exported via Counters().
 	acts, pres, reads, writes, refs uint64
 }
@@ -99,7 +105,7 @@ func NewModule(geo Geometry, timing Timing, tempC float64, dist Disturber) *Modu
 		dist:   dist,
 		banks:  make([]bankState, geo.Banks),
 		rows:   make([][]rowState, geo.Banks),
-		temps:  []tempPoint{{at: 0, tempC: tempC}},
+		temps:  []tempPoint{{at: 0, tempC: tempC, accel: dist.RetentionAccel(tempC)}},
 	}
 }
 
@@ -118,7 +124,7 @@ func (m *Module) SetTemperature(at TimePS, tempC float64) {
 	if last.tempC == tempC {
 		return
 	}
-	m.temps = append(m.temps, tempPoint{at: at, tempC: tempC})
+	m.temps = append(m.temps, tempPoint{at: at, tempC: tempC, accel: m.dist.RetentionAccel(tempC)})
 }
 
 // tempSegment returns the index of the temperature segment covering time
@@ -158,19 +164,19 @@ func (m *Module) retentionStress(from, to TimePS) float64 {
 		return 0
 	}
 	var stress float64
-	cur := from
-	curTemp := m.TemperatureAt(from)
-	// Segments ending at or before cur contribute nothing; binary-search
-	// the first boundary past cur instead of scanning the whole schedule.
-	for i := m.tempSegment(from) + 1; i < len(m.temps); i++ {
+	// Segments ending at or before from contribute nothing; binary-search
+	// the first boundary past from instead of scanning the whole schedule.
+	seg := m.tempSegment(from)
+	cur, accel := from, m.temps[seg].accel
+	for i := seg + 1; i < len(m.temps); i++ {
 		p := m.temps[i]
 		if p.at >= to {
 			break
 		}
-		stress += Seconds(p.at-cur) * m.dist.RetentionAccel(curTemp)
-		cur, curTemp = p.at, p.tempC
+		stress += Seconds(p.at-cur) * accel
+		cur, accel = p.at, p.accel
 	}
-	stress += Seconds(to-cur) * m.dist.RetentionAccel(curTemp)
+	stress += Seconds(to-cur) * accel
 	return stress
 }
 
@@ -276,7 +282,7 @@ func (m *Module) Precharge(at TimePS, bank int) error {
 	}
 	onTime := at - b.openedAt
 	offTime := m.prevOff(bank, b.openRow, b.openedAt)
-	m.accrue(bank, b.openRow, onTime, offTime, m.TemperatureAt(at))
+	m.accrueSpec(bank, b.openRow, onTime, offTime, m.TemperatureAt(at), 1, nil, nil)
 	m.recordPre(bank, b.openRow, at)
 	b.open = false
 	b.hasPre = true
@@ -304,23 +310,6 @@ func (m *Module) prevOff(bank, row int, actAt TimePS) TimePS {
 		off = recoveredOff
 	}
 	return off
-}
-
-// accrue adds one activation's worth of disturbance from aggressor (bank,
-// aggRow) to every row within the blast radius, through the shared
-// accrual walk (accrual.go).
-func (m *Module) accrue(bank, aggRow int, onTime, offTime TimePS, tempC float64) {
-	accrueSpec(m.dist, m.Geo.RowsPerBank, aggRow, onTime, offTime, tempC, 1, nil,
-		func(victim int, above bool, h, p float64) {
-			rs := m.row(bank, victim)
-			if above { // aggressor sits above (higher index)
-				rs.exp.HammerAbove += h
-				rs.exp.PressAbove += p
-			} else {
-				rs.exp.HammerBelow += h
-				rs.exp.PressBelow += p
-			}
-		})
 }
 
 // restoreRow materializes accumulated disturbance as bitflips and resets

@@ -132,17 +132,7 @@ func (m *Module) ProbeFetch(at TimePS, bank int, rows []int) ([]RowProbe, TimePS
 		// PRE: the fetch's own activation disturbs the row's neighborhood.
 		preAt := now + m.Timing.TRAS
 		off := prevOff(row, now)
-		accrueSpec(m.dist, m.Geo.RowsPerBank, row, m.Timing.TRAS, off, m.TemperatureAt(preAt), 1, nil,
-			func(victim int, above bool, h, p float64) {
-				e := expOf(victim)
-				if above {
-					e.HammerAbove += h
-					e.PressAbove += p
-				} else {
-					e.HammerBelow += h
-					e.PressBelow += p
-				}
-			})
+		m.accrueSpec(bank, row, m.Timing.TRAS, off, m.TemperatureAt(preAt), 1, nil, expOf)
 		virtPre[row] = preAt
 		hasPre, lastPre = true, preAt
 		now = preAt + m.Timing.TRP
@@ -244,17 +234,7 @@ func (m *Module) ProbeWouldFlip(at TimePS, bank int, rows []int) (bool, error) {
 		} else {
 			off = m.prevOff(bank, row, now)
 		}
-		accrueSpec(m.dist, m.Geo.RowsPerBank, row, m.Timing.TRAS, off, m.TemperatureAt(preAt), 1, nil,
-			func(victim int, above bool, h, p float64) {
-				e := expOf(victim)
-				if above {
-					e.HammerAbove += h
-					e.PressAbove += p
-				} else {
-					e.HammerBelow += h
-					e.PressBelow += p
-				}
-			})
+		m.accrueSpec(bank, row, m.Timing.TRAS, off, m.TemperatureAt(preAt), 1, nil, expOf)
 		virtPre[row] = preAt
 		hasPre, lastPre = true, preAt
 		now = preAt + m.Timing.TRP

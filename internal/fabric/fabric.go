@@ -97,6 +97,12 @@ const coldHedgeDelay = 100 * time.Millisecond
 // is considered cold.
 const hedgeMinSamples = 16
 
+// maxPeerPayload caps the bytes of a peer's /v1/shard answer the
+// coordinator decodes. Shard payloads are kilobytes; a body past the cap
+// comes from a faulty or hostile peer, and the shard falls back to local
+// execution instead of being read without bound.
+var maxPeerPayload int64 = 64 << 20
+
 // errPermanent marks responses retries cannot fix (key skew, unknown
 // experiment or shard): the attempt loop stops immediately.
 var errPermanent = errors.New("permanent peer error")
@@ -144,6 +150,10 @@ type Client struct {
 	http  *http.Client
 	sem   chan struct{}
 	rec   *obs.Recorder
+
+	// maxPayload is maxPeerPayload when the client was built, so a test
+	// lowering the cap cannot race another client's request in flight.
+	maxPayload int64
 }
 
 // New builds a client over the configured peer set. At least one peer
@@ -177,6 +187,8 @@ func New(cfg Config) (*Client, error) {
 		peers: peers,
 		http:  hc,
 		sem:   make(chan struct{}, cfg.MaxInFlight),
+
+		maxPayload: maxPeerPayload,
 	}, nil
 }
 
@@ -380,7 +392,12 @@ func (c *Client) post(base string, body []byte) (v any, tier string, err error) 
 		}
 		return nil, "", err
 	}
-	v, err = engine.DecodePayload(resp.Body)
+	lr := &io.LimitedReader{R: resp.Body, N: c.maxPayload + 1}
+	v, err = engine.DecodePayload(lr)
+	if lr.N == 0 {
+		// The same peer would send the same body again: no retry.
+		return nil, "", fmt.Errorf("%w: fabric: peer %s: payload exceeds %d bytes", errPermanent, base, c.maxPayload)
+	}
 	if err != nil {
 		return nil, "", fmt.Errorf("fabric: peer %s: decode payload: %w", base, err)
 	}

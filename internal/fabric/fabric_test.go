@@ -8,6 +8,7 @@ package fabric_test
 import (
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -158,6 +159,40 @@ func TestFabricPeerDeathFallback(t *testing.T) {
 	m := fc.Metrics()
 	if m.PerPeer[1].Dispatches > 2 && m.PerPeer[1].Errors == 0 {
 		t.Fatalf("dead peer took %d dispatches but recorded no errors: %+v", m.PerPeer[1].Dispatches, m.PerPeer[1])
+	}
+}
+
+// TestFabricOversizedPayloadFallsBack has the peers answer every
+// dispatch with a well-formed 1 MiB payload, past the coordinator's
+// (lowered) cap. Read in full it would decode to a wrong value; the
+// coordinator must stop at the cap, count the error against the peer,
+// and recompute the shard locally, so the document stays byte-identical
+// to the all-local golden.
+func TestFabricOversizedPayloadFallsBack(t *testing.T) {
+	defer fabric.SetMaxPeerPayload(64 << 10)()
+	golden := goldenText(t)
+	bloated := func(http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if err := engine.EncodePayload(w, strings.Repeat("x", 1<<20)); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	p1, p2 := newPeer(t, bloated), newPeer(t, bloated)
+	eng, fc := newCoordinator(t, fabric.Config{Peers: []string{p1.URL, p2.URL}, Retries: -1})
+
+	doc, err := core.RunWith(eng, "fig6", testOpts)
+	if err != nil {
+		t.Fatalf("fabric run with bloated peers: %v", err)
+	}
+	if got := report.Text(doc); got != golden {
+		t.Fatal("an oversized peer payload changed the rendered document")
+	}
+	if m := fc.Metrics(); m.Dispatches == 0 || m.Errors == 0 || m.Hits != 0 {
+		t.Fatalf("fabric metrics %+v: want dispatches that all failed", m)
+	}
+	if eng.Metrics().ShardsExecuted == 0 {
+		t.Fatal("no shard fell back to local execution")
 	}
 }
 

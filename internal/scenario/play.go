@@ -210,6 +210,25 @@ func decoyPool(n int) []int {
 	return out
 }
 
+// rowSet is a dense row-indexed membership set sized to its highest row.
+// Slot observers test membership on every activation, where a slice
+// index is far cheaper than a map lookup.
+type rowSet []bool
+
+func newRowSet(rows []int) rowSet {
+	n := 0
+	for _, r := range rows {
+		n = max(n, r+1)
+	}
+	set := make(rowSet, n)
+	for _, r := range rows {
+		set[r] = true
+	}
+	return set
+}
+
+func (s rowSet) has(row int) bool { return row >= 0 && row < len(s) && s[row] }
+
 // Outcome is one playback measurement.
 type Outcome struct {
 	AggActs             int         // aggressor activations played
@@ -335,10 +354,7 @@ func (c Config) playSite(module chipgen.ModuleSpec, spec Spec, site sitePlan,
 	rf, hasREF := mit.(refresher)
 	nextRef := t.TREFI
 	nextWin := t.TREFW
-	isDecoy := make(map[int]bool, len(decoys))
-	for _, d := range decoys {
-		isDecoy[d] = true
-	}
+	isDecoy := newRowSet(decoys)
 	refreshRows := func(rows []int, now dram.TimePS) error {
 		for _, r := range rows {
 			if r < 0 || r >= c.Geometry.RowsPerBank {
@@ -354,7 +370,7 @@ func (c Config) playSite(module chipgen.ModuleSpec, spec Spec, site sitePlan,
 	var lastOff dram.TimePS // off phase of the most recent slot
 	observe := func(i int, s dram.Slot, now dram.TimePS) error {
 		out.TotalActs++
-		if !isDecoy[s.Row] {
+		if !isDecoy.has(s.Row) {
 			out.AggActs++
 		}
 		if err := refreshRows(mitigate.Observe(mit, s.Row, s.OnTime), now); err != nil {

@@ -122,8 +122,8 @@ type player struct {
 	resumeAt    dram.TimePS // where the next slot starts
 	stopAt      dram.TimePS // pattern time if the play stopped here (Outcome.Elapsed)
 	victimFlips int         // bitflips preventive refreshes materialized into victims mid-play
-	isDecoy     map[int]bool
-	isVictim    map[int]bool
+	isDecoy     rowSet
+	isVictim    rowSet
 	rf          refresher
 	hasREF      bool
 
@@ -162,22 +162,16 @@ func (c Config) newPlayer(module chipgen.ModuleSpec, spec Spec, site sitePlan, m
 		}
 	}
 	p := &player{
-		cfg:     c,
-		spec:    spec,
-		site:    site,
-		mod:     mod,
-		mit:     mit,
-		gen:     newSlotGen(spec, site, t),
-		nextRef: t.TREFI,
-		nextWin: t.TREFW,
-		isDecoy: make(map[int]bool, spec.DecoyRows),
-	}
-	for _, d := range decoyPool(spec.DecoyRows) {
-		p.isDecoy[d] = true
-	}
-	p.isVictim = make(map[int]bool, len(site.victims))
-	for _, v := range site.victims {
-		p.isVictim[v] = true
+		cfg:      c,
+		spec:     spec,
+		site:     site,
+		mod:      mod,
+		mit:      mit,
+		gen:      newSlotGen(spec, site, t),
+		nextRef:  t.TREFI,
+		nextWin:  t.TREFW,
+		isDecoy:  newRowSet(decoyPool(spec.DecoyRows)),
+		isVictim: newRowSet(site.victims),
 	}
 	p.rf, p.hasREF = mit.(refresher)
 	return p, nil
@@ -192,7 +186,7 @@ func (p *player) refreshRows(rows []int, now dram.TimePS) error {
 		if err != nil {
 			return err
 		}
-		if p.isVictim[r] {
+		if p.isVictim.has(r) {
 			p.victimFlips += flips
 		}
 		p.out.PreventiveRefreshes++
@@ -211,7 +205,7 @@ func (p *player) playTo(targetAgg int) error {
 	t := p.mod.Timing
 	observe := func(i int, s dram.Slot, now dram.TimePS) error {
 		p.out.TotalActs++
-		if !p.isDecoy[s.Row] {
+		if !p.isDecoy.has(s.Row) {
 			p.out.AggActs++
 		}
 		if err := p.refreshRows(mitigate.Observe(p.mit, s.Row, s.OnTime), now); err != nil {
