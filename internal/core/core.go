@@ -295,10 +295,10 @@ func RunWith(eng *engine.Engine, id string, o Options) (*report.Doc, error) {
 }
 
 // RunObserved is RunWith for callers that also need the engine's
-// per-run statistics and per-shard resolution events — the run ledger
-// uses the events to split the shard count by answering cache tier.
-// onShard (may be nil) is chained onto the plan exactly like
-// engine.Plan.OnShard: invoked concurrently from worker goroutines.
+// per-run statistics — the run's own tier split and latency tally,
+// which the run ledger records — and per-shard resolution events.
+// onShard (may be nil) is installed as the plan's engine.Plan.OnShard:
+// invoked concurrently from worker goroutines.
 func RunObserved(eng *engine.Engine, id string, o Options, onShard func(engine.ShardEvent)) (*report.Doc, engine.RunStats, error) {
 	var t0 time.Time
 	rec := eng.Recorder()

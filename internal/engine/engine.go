@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -113,20 +112,52 @@ type Plan struct {
 // RunStats describes one Execute call. Shard counts are unit-level: a
 // split shard counts once in Shards/Executed/CacheHits; its declared
 // and actually-run sub-shards are broken out in SubShards/SubExecuted.
+// The embedded Tally is the call's own accounting, exact however many
+// other calls the engine serves at the same time.
 type RunStats struct {
-	Shards      int           // shards in the plan
-	CacheHits   int           // shards served from the cache or a concurrent in-flight execution
-	Executed    int           // shards this call actually ran
-	SubShards   int           // sub-shards declared across the plan's split shards
-	SubExecuted int           // sub-shards this call actually ran
-	QueueWait   time.Duration // summed dispatch→execution wait across executed shards
-	Wall        time.Duration // wall-clock time of the whole Execute, merge included
+	Shards    int           // shards in the plan
+	CacheHits int           // shards served from a cache tier, a peer, or a concurrent in-flight execution
+	Executed  int           // shards this call actually ran (Tiers.Miss)
+	SubShards int           // sub-shards declared across the plan's split shards
+	Wall      time.Duration // wall-clock time of the whole Execute, merge included
+	Tally
 }
 
-// LatencyStats is an always-on (count, total) latency aggregate — the
-// cheap complement of the span recorder, maintained whether or not
-// tracing is enabled so /v1/metrics can report queue dynamics and
-// tier-attributed cache latency at all times.
+// TierCounts splits a call's unit-level shard resolutions by answering
+// tier: the in-memory LRU, the persistent disk tier, a fabric peer, a
+// joined concurrent execution (or, in a batch, an earlier reference to
+// the same key), or a miss (the call executed the shard). Total equals
+// the call's shard count. The JSON tags are the run ledger's wire form.
+type TierCounts struct {
+	Mem    int `json:"mem"`
+	Disk   int `json:"disk"`
+	Remote int `json:"remote,omitempty"`
+	Join   int `json:"join,omitempty"`
+	Miss   int `json:"miss"`
+}
+
+// Total returns the shard count the split accounts for.
+func (t TierCounts) Total() int { return t.Mem + t.Disk + t.Remote + t.Join + t.Miss }
+
+// count adds one resolution answered by tier ("" for an execution).
+func (t *TierCounts) count(tier string) {
+	switch tier {
+	case TierMem:
+		t.Mem++
+	case TierDisk:
+		t.Disk++
+	case TierRemote:
+		t.Remote++
+	case TierJoin:
+		t.Join++
+	default:
+		t.Miss++
+	}
+}
+
+// LatencyStats is a (count, total) latency aggregate: one call's own
+// queue waits or tier lookups in a Tally, or their engine-lifetime sum
+// in Metrics.
 type LatencyStats struct {
 	Count uint64
 	Total time.Duration
@@ -140,35 +171,58 @@ func (s LatencyStats) Avg() time.Duration {
 	return s.Total / time.Duration(s.Count)
 }
 
-// Sub returns the aggregate accumulated between prev and s — both
-// snapshots of the same monotone counter. A prev that is ahead of s
-// (snapshots of different engines) yields a zero aggregate.
-func (s LatencyStats) Sub(prev LatencyStats) LatencyStats {
-	if prev.Count > s.Count || prev.Total > s.Total {
-		return LatencyStats{}
-	}
-	return LatencyStats{Count: s.Count - prev.Count, Total: s.Total - prev.Total}
+func (s *LatencyStats) observe(d time.Duration) {
+	s.Count++
+	s.Total += d
 }
 
-// latCounter is the lock-free accumulator behind LatencyStats.
-type latCounter struct {
-	count atomic.Uint64
-	ns    atomic.Int64
+func (s *LatencyStats) add(o LatencyStats) {
+	s.Count += o.Count
+	s.Total += o.Total
 }
 
-func (l *latCounter) add(d time.Duration) {
-	l.count.Add(1)
-	l.ns.Add(int64(d))
+// Tally is the accounting of one Execute, ExecuteBatch or ResolveLocal
+// call: every lookup, execution, join, remote answer and remote error
+// the call makes, sub-shard work included, lands in it. Tiers is
+// unit-level (a split shard resolves once); the latency aggregates
+// count every lookup and execution, so a split shard's sub-shard
+// lookups and runs show up there.
+type Tally struct {
+	Tiers        TierCounts
+	SubExecuted  int           // sub-shards this call ran
+	ExecTime     time.Duration // execution time of this call's leaf runs, sub-shard runs and gathers
+	QueueWait    LatencyStats  // dispatch→execution wait per execution (leaf or sub-shard)
+	MemLookup    LatencyStats  // lookups answered by the in-memory tier
+	DiskLookup   LatencyStats  // lookups answered by the persistent tier
+	MissLookup   LatencyStats  // lookups answered by neither tier
+	RemoteLookup LatencyStats  // shards answered by a fabric peer (count = remote hits)
+	RemoteErrors uint64        // dispatches every attempted peer failed; the shard ran locally
 }
 
-func (l *latCounter) stats() LatencyStats {
-	return LatencyStats{Count: l.count.Load(), Total: time.Duration(l.ns.Load())}
+func (t *Tally) add(o *Tally) {
+	t.Tiers.Mem += o.Tiers.Mem
+	t.Tiers.Disk += o.Tiers.Disk
+	t.Tiers.Remote += o.Tiers.Remote
+	t.Tiers.Join += o.Tiers.Join
+	t.Tiers.Miss += o.Tiers.Miss
+	t.SubExecuted += o.SubExecuted
+	t.ExecTime += o.ExecTime
+	t.QueueWait.add(o.QueueWait)
+	t.MemLookup.add(o.MemLookup)
+	t.DiskLookup.add(o.DiskLookup)
+	t.MissLookup.add(o.MissLookup)
+	t.RemoteLookup.add(o.RemoteLookup)
+	t.RemoteErrors += o.RemoteErrors
 }
 
 // Metrics are cumulative engine-lifetime counters plus a snapshot of
-// both cache tiers. CacheHits/CacheMisses are the engine's run-level
-// view (a hit from either tier counts once); Mem and Disk break the
-// tiers out with their own entries/hits/misses/evictions.
+// both cache tiers. The execution, hit and latency counters are the
+// sum of the Tallies of every completed Execute, ExecuteBatch and
+// ResolveLocal call; Runs, ShardsPlanned, SubShardsPlanned and
+// TotalWall count Execute and ExecuteBatch plans only. CacheHits and
+// CacheMisses are the unit-level view (a hit from any tier, a peer
+// answer or a join counts once); Mem and Disk break the local tiers
+// out with their own entries/hits/misses/evictions.
 type Metrics struct {
 	Runs              uint64
 	ShardsPlanned     uint64
@@ -183,51 +237,32 @@ type Metrics struct {
 	Mem               CacheStats     // in-memory tier snapshot
 	Disk              DiskCacheStats // disk tier snapshot (zero when none attached)
 
-	// Queue dynamics and tier-attributed lookup latency, maintained
-	// regardless of whether a span recorder is attached.
-	QueueWait    LatencyStats // dispatch→execution wait per executed shard
-	MemLookup    LatencyStats // lookups answered by the in-memory tier
-	DiskLookup   LatencyStats // lookups answered by the persistent tier
-	MissLookup   LatencyStats // lookups answered by neither tier
-	RemoteLookup LatencyStats // shards answered by a fabric peer (count = remote hits)
+	// Queue dynamics and tier-attributed lookup latency (see Tally).
+	QueueWait    LatencyStats
+	MemLookup    LatencyStats
+	DiskLookup   LatencyStats
+	MissLookup   LatencyStats
+	RemoteLookup LatencyStats
 
 	// RemoteErrors counts dispatches that exhausted the remote tier
 	// (every attempted peer failed) and fell back to local execution.
 	RemoteErrors uint64
 }
 
-// Sub returns the counter window accumulated between prev and m: the
-// cumulative counters and latency aggregates subtracted, the cache-tier
-// snapshots carried from m (tier entries/bytes are states, not
-// counters). The run ledger uses this to attribute queue-wait and
-// per-tier lookup latency to one run's lifetime.
-func (m Metrics) Sub(prev Metrics) Metrics {
-	out := m
-	out.Runs -= min(prev.Runs, m.Runs)
-	out.ShardsPlanned -= min(prev.ShardsPlanned, m.ShardsPlanned)
-	out.ShardsExecuted -= min(prev.ShardsExecuted, m.ShardsExecuted)
-	out.SubShardsPlanned -= min(prev.SubShardsPlanned, m.SubShardsPlanned)
-	out.SubShardsExecuted -= min(prev.SubShardsExecuted, m.SubShardsExecuted)
-	out.CacheHits -= min(prev.CacheHits, m.CacheHits)
-	out.CacheMisses -= min(prev.CacheMisses, m.CacheMisses)
-	out.Errors -= min(prev.Errors, m.Errors)
-	if prev.TotalWall < m.TotalWall {
-		out.TotalWall = m.TotalWall - prev.TotalWall
-	} else {
-		out.TotalWall = 0
-	}
-	if prev.TotalShardTime < m.TotalShardTime {
-		out.TotalShardTime = m.TotalShardTime - prev.TotalShardTime
-	} else {
-		out.TotalShardTime = 0
-	}
-	out.QueueWait = m.QueueWait.Sub(prev.QueueWait)
-	out.MemLookup = m.MemLookup.Sub(prev.MemLookup)
-	out.DiskLookup = m.DiskLookup.Sub(prev.DiskLookup)
-	out.MissLookup = m.MissLookup.Sub(prev.MissLookup)
-	out.RemoteLookup = m.RemoteLookup.Sub(prev.RemoteLookup)
-	out.RemoteErrors -= min(prev.RemoteErrors, m.RemoteErrors)
-	return out
+// fold adds one completed call's tally to the lifetime counters. The
+// caller holds e.mu.
+func (m *Metrics) fold(t *Tally) {
+	m.ShardsExecuted += uint64(t.Tiers.Miss)
+	m.CacheMisses += uint64(t.Tiers.Miss)
+	m.CacheHits += uint64(t.Tiers.Total() - t.Tiers.Miss)
+	m.SubShardsExecuted += uint64(t.SubExecuted)
+	m.TotalShardTime += t.ExecTime
+	m.QueueWait.add(t.QueueWait)
+	m.MemLookup.add(t.MemLookup)
+	m.DiskLookup.add(t.DiskLookup)
+	m.MissLookup.add(t.MissLookup)
+	m.RemoteLookup.add(t.RemoteLookup)
+	m.RemoteErrors += t.RemoteErrors
 }
 
 // RemoteRequest carries everything a remote tier needs to address one
@@ -264,14 +299,6 @@ type Engine struct {
 	remote  RemoteTier // optional fabric tier between disk and execute
 	sem     chan int   // engine-wide worker slots; the value is the slot id
 	rec     *obs.Recorder
-
-	// Always-on latency aggregates (see Metrics).
-	queueWait  latCounter
-	memLat     latCounter
-	diskLat    latCounter
-	missLat    latCounter
-	remoteLat  latCounter
-	remoteErrs atomic.Uint64
 
 	ifmu     sync.Mutex
 	inflight map[string]*inflightShard
@@ -362,37 +389,37 @@ func (e *Engine) Metrics() Metrics {
 	if e.disk != nil {
 		m.Disk = e.disk.Stats()
 	}
-	m.QueueWait = e.queueWait.stats()
-	m.MemLookup = e.memLat.stats()
-	m.DiskLookup = e.diskLat.stats()
-	m.MissLookup = e.missLat.stats()
-	m.RemoteLookup = e.remoteLat.stats()
-	m.RemoteErrors = e.remoteErrs.Load()
 	return m
 }
 
 // tierGet looks key up in the memory tier and then the disk tier,
-// promoting disk hits into memory so subsequent lookups stay hot.
-// tier names the tier that answered ("" on a miss); lat is the lookup
-// latency, also folded into the always-on per-tier aggregates.
-func (e *Engine) tierGet(key string) (v any, tier string, lat time.Duration, ok bool) {
+// promoting disk hits into memory so subsequent lookups stay hot. tier
+// names the tier that answered ("" on a miss). The lookup latency lands
+// in t and, with a recorder attached, in a lookup span labelled with
+// the plan index, experiment and shard label.
+func (e *Engine) tierGet(key string, t *Tally, idx int, exp, label string) (v any, tier string, ok bool) {
 	t0 := time.Now()
-	if v, ok := e.cache.Get(key); ok {
-		lat = time.Since(t0)
-		e.memLat.add(lat)
-		return v, TierMem, lat, true
-	}
-	if e.disk != nil {
-		if v, ok := e.disk.Get(key); ok {
+	if v, ok = e.cache.Get(key); ok {
+		tier = TierMem
+	} else if e.disk != nil {
+		if v, ok = e.disk.Get(key); ok {
 			e.cache.Put(key, v)
-			lat = time.Since(t0)
-			e.diskLat.add(lat)
-			return v, TierDisk, lat, true
+			tier = TierDisk
 		}
 	}
-	lat = time.Since(t0)
-	e.missLat.add(lat)
-	return nil, "", lat, false
+	lat := time.Since(t0)
+	switch tier {
+	case TierMem:
+		t.MemLookup.observe(lat)
+	case TierDisk:
+		t.DiskLookup.observe(lat)
+	default:
+		t.MissLookup.observe(lat)
+	}
+	if e.rec != nil {
+		e.rec.Record(lookupKind(tier), -1, idx, exp, label, t0, lat, 0)
+	}
+	return v, tier, ok
 }
 
 // tierPut writes a completed shard payload to both tiers.
@@ -414,18 +441,18 @@ func (e *Engine) Execute(p Plan) (*report.Doc, RunStats, error) {
 
 	parts := make([]any, len(p.Shards))
 	errs := make([]error, len(p.Shards))
+	// One tally per shard, owned by the shard's goroutine until the
+	// barrier; its event reports the shard's own queue, wall and subs.
+	tallies := make([]Tally, len(p.Shards))
 	var missing []int
 	keys := make([]string, len(p.Shards))
 	for i, s := range p.Shards {
 		keys[i] = Key(p.Experiment, p.Fingerprint, s.Key)
 		stats.SubShards += len(s.Subs)
-		v, tier, lat, ok := e.tierGet(keys[i])
-		if e.rec != nil {
-			e.rec.Record(lookupKind(tier), -1, i, p.Experiment, s.Key, time.Now().Add(-lat), lat, 0)
-		}
+		v, tier, ok := e.tierGet(keys[i], &tallies[i], i, p.Experiment, s.Key)
 		if ok {
 			parts[i] = v
-			stats.CacheHits++
+			tallies[i].Tiers.count(tier)
 			if p.OnShard != nil {
 				p.OnShard(ShardEvent{Index: i, Key: s.Key, Cached: true, Tier: tier, Worker: -1, Subs: len(s.Subs)})
 			}
@@ -434,47 +461,35 @@ func (e *Engine) Execute(p Plan) (*report.Doc, RunStats, error) {
 		}
 	}
 
-	var shardTime time.Duration
-	var joined int // shards adopted from a concurrent in-flight execution
 	if len(missing) > 0 {
 		barrierStart := time.Now()
 		var wg sync.WaitGroup
-		var tmu sync.Mutex
 		for _, i := range missing {
 			wg.Add(1)
 			enq := time.Now()
 			go func(i int) {
 				defer wg.Done()
-				v, ran, wid, qd, d, subsRun, peer, err := e.resolveShard(keys[i], p.Shards[i], p.Experiment, p.Remote, i, enq)
-				if p.OnShard != nil {
-					ev := ShardEvent{Index: i, Key: p.Shards[i].Key, Cached: !ran, Worker: wid,
-						Queue: qd, Wall: d, Subs: len(p.Shards[i].Subs), SubsRun: subsRun, Err: err}
-					if !ran {
-						ev.Tier = TierJoin
-						if peer != "" {
-							ev.Tier, ev.Peer = TierRemote, peer
-						}
-					}
-					p.OnShard(ev)
-				}
-				tmu.Lock()
+				t := &tallies[i]
+				v, tier, wid, peer, err := e.resolveShard(keys[i], p.Shards[i], p.Experiment, p.Remote, i, enq, t)
+				t.Tiers.count(tier)
 				parts[i], errs[i] = v, err
-				shardTime += d
-				stats.QueueWait += qd
-				stats.SubExecuted += subsRun
-				if !ran {
-					joined++
+				if p.OnShard != nil {
+					p.OnShard(ShardEvent{Index: i, Key: p.Shards[i].Key, Cached: tier != "", Tier: tier, Peer: peer,
+						Worker: wid, Queue: t.QueueWait.Total, Wall: t.ExecTime, Subs: len(p.Shards[i].Subs),
+						SubsRun: t.SubExecuted, Err: err})
 				}
-				tmu.Unlock()
 			}(i)
 		}
 		wg.Wait()
 		if e.rec != nil {
 			e.rec.Record(obs.Barrier, -1, -1, p.Experiment, "", barrierStart, time.Since(barrierStart), 0)
 		}
-		stats.Executed = len(missing) - joined
-		stats.CacheHits += joined
 	}
+	for i := range tallies {
+		stats.Tally.add(&tallies[i])
+	}
+	stats.Executed = stats.Tiers.Miss
+	stats.CacheHits = stats.Shards - stats.Executed
 
 	var firstErr error
 	for _, i := range missing {
@@ -504,13 +519,9 @@ func (e *Engine) Execute(p Plan) (*report.Doc, RunStats, error) {
 	e.mu.Lock()
 	e.metrics.Runs++
 	e.metrics.ShardsPlanned += uint64(stats.Shards)
-	e.metrics.ShardsExecuted += uint64(stats.Executed)
 	e.metrics.SubShardsPlanned += uint64(stats.SubShards)
-	e.metrics.SubShardsExecuted += uint64(stats.SubExecuted)
-	e.metrics.CacheHits += uint64(stats.CacheHits)
-	e.metrics.CacheMisses += uint64(stats.Executed)
 	e.metrics.TotalWall += stats.Wall
-	e.metrics.TotalShardTime += shardTime
+	e.metrics.fold(&stats.Tally)
 	if firstErr != nil {
 		e.metrics.Errors++
 	}
@@ -525,29 +536,28 @@ func (e *Engine) Execute(p Plan) (*report.Doc, RunStats, error) {
 // BatchStats describes one ExecuteBatch call. Shard references are
 // counted twice: ShardRefs is the plan-side view (every shard of every
 // plan), while UniqueShards is the engine-side view after key
-// deduplication — the most work the batch could possibly run.
+// deduplication — the most work the batch could possibly run. The
+// embedded Tally is the sum of the per-plan RunStats tallies, so its
+// tier split totals ShardRefs: a reference beyond the first occurrence
+// of its key counts as a join.
 type BatchStats struct {
 	Plans        int
 	ShardRefs    int // shards across all plans, duplicates included
 	UniqueShards int // distinct shard keys in the batch
 	Deduplicated int // refs beyond the first occurrence of their key
-	CacheHits    int // unique shards served from the cache (or joined in-flight)
-	Executed     int // unique shards this call actually ran
-	SubExecuted  int // sub-shards this call actually ran, across all split shards
-	QueueWait    time.Duration
+	CacheHits    int // unique shards served from a cache tier, a peer, or a concurrent in-flight run
+	Executed     int // unique shards this call actually ran (Tiers.Miss)
 	Wall         time.Duration
+	Tally
 }
 
 // batchShard is the shared execution slot for one unique key in a batch.
 type batchShard struct {
-	shard  Shard // the first-seen Shard for this key (all are equivalent)
-	val    any
-	err    error
-	cached bool          // served from the cache or a concurrent in-flight run
-	owner  int           // index of the first plan referencing this key
-	queue  time.Duration // dispatch→execution wait when this batch ran it
-	dur    time.Duration // execution time when this batch ran it
-	subs   int           // sub-shards run when this batch executed a split shard
+	shard Shard // the first-seen Shard for this key (all are equivalent)
+	val   any
+	err   error
+	owner int   // index of the first plan referencing this key
+	t     Tally // the key's lookup, resolution and execution, charged to the owner
 }
 
 // ExecuteBatch runs many plans as one deduplicated unit of work: the
@@ -558,8 +568,8 @@ type batchShard struct {
 // the plans that reference it, reported per-plan in errs.
 //
 // Per-plan RunStats follow first-owner accounting: the first plan
-// referencing a shard records its execution, and every later plan
-// records a cache hit — so summing Executed over stats equals
+// referencing a shard records its lookup and resolution, and every
+// later plan records a join — so summing Executed over stats equals
 // BatchStats.Executed, and each plan's CacheHits+Executed equals its
 // shard count, exactly as if the plans had run sequentially through
 // Execute. Per-plan Wall is the compute attributed to that plan (its
@@ -595,43 +605,27 @@ func (e *Engine) ExecuteBatch(plans []Plan) (outs []*report.Doc, stats []RunStat
 	var missing []string
 	for _, k := range order {
 		sl := slots[k]
-		v, tier, lat, ok := e.tierGet(k)
-		if e.rec != nil {
-			e.rec.Record(lookupKind(tier), -1, -1, plans[sl.owner].Experiment, sl.shard.Key, time.Now().Add(-lat), lat, 0)
-		}
+		v, tier, ok := e.tierGet(k, &sl.t, -1, plans[sl.owner].Experiment, sl.shard.Key)
 		if ok {
-			sl.val, sl.cached = v, true
-			bs.CacheHits++
+			sl.val = v
+			sl.t.Tiers.count(tier)
 		} else {
 			missing = append(missing, k)
 		}
 	}
 
-	var shardTime time.Duration
 	if len(missing) > 0 {
 		barrierStart := time.Now()
 		var wg sync.WaitGroup
-		var tmu sync.Mutex
 		for _, k := range missing {
 			wg.Add(1)
 			enq := time.Now()
-			go func(k string) {
+			go func(k string, sl *batchShard) {
 				defer wg.Done()
-				sl := slots[k]
-				v, ran, _, qd, d, subsRun, _, err := e.resolveShard(k, sl.shard, plans[sl.owner].Experiment, plans[sl.owner].Remote, -1, enq)
-				tmu.Lock()
-				sl.val, sl.err, sl.queue, sl.dur, sl.subs = v, err, qd, d, subsRun
-				if ran {
-					bs.Executed++
-					bs.SubExecuted += subsRun
-					bs.QueueWait += qd
-				} else {
-					sl.cached = true // joined a concurrent execution
-					bs.CacheHits++
-				}
-				shardTime += d
-				tmu.Unlock()
-			}(k)
+				var tier string
+				sl.val, tier, _, _, sl.err = e.resolveShard(k, sl.shard, plans[sl.owner].Experiment, plans[sl.owner].Remote, -1, enq, &sl.t)
+				sl.t.Tiers.count(tier)
+			}(k, slots[k])
 		}
 		wg.Wait()
 		if e.rec != nil {
@@ -647,15 +641,16 @@ func (e *Engine) ExecuteBatch(plans []Plan) (outs []*report.Doc, stats []RunStat
 				errs[pi] = fmt.Errorf("engine: %s shard %q: %w", p.Experiment, p.Shards[si].Key, sl.err)
 			}
 			parts[si] = sl.val
-			if sl.cached || sl.owner != pi {
-				stats[pi].CacheHits++
+			if sl.owner == pi {
+				stats[pi].Tally.add(&sl.t)
+				stats[pi].Wall += sl.t.ExecTime
 			} else {
-				stats[pi].Executed++
-				stats[pi].SubExecuted += sl.subs
-				stats[pi].QueueWait += sl.queue
-				stats[pi].Wall += sl.dur
+				stats[pi].Tiers.Join++
 			}
 		}
+		stats[pi].Executed = stats[pi].Tiers.Miss
+		stats[pi].CacheHits = stats[pi].Shards - stats[pi].Executed
+		bs.Tally.add(&stats[pi].Tally)
 		if errs[pi] != nil {
 			continue
 		}
@@ -671,23 +666,21 @@ func (e *Engine) ExecuteBatch(plans []Plan) (outs []*report.Doc, stats []RunStat
 		}
 		outs[pi] = out
 	}
+	bs.Executed = bs.Tiers.Miss
+	bs.CacheHits = bs.UniqueShards - bs.Executed
 	bs.Wall = time.Since(start)
 
 	e.mu.Lock()
 	e.metrics.Runs += uint64(len(plans))
 	e.metrics.ShardsPlanned += uint64(bs.ShardRefs)
-	e.metrics.ShardsExecuted += uint64(bs.Executed)
-	e.metrics.SubShardsExecuted += uint64(bs.SubExecuted)
-	e.metrics.CacheMisses += uint64(bs.Executed)
+	e.metrics.TotalWall += bs.Wall
+	e.metrics.fold(&bs.Tally)
 	for pi := range plans {
 		e.metrics.SubShardsPlanned += uint64(stats[pi].SubShards)
-		e.metrics.CacheHits += uint64(stats[pi].CacheHits)
 		if errs[pi] != nil {
 			e.metrics.Errors++
 		}
 	}
-	e.metrics.TotalWall += bs.Wall
-	e.metrics.TotalShardTime += shardTime
 	e.mu.Unlock()
 	return outs, stats, errs, bs
 }
@@ -706,16 +699,18 @@ func lookupKind(tier string) obs.Kind {
 
 // resolveShard serves one missing plan shard: a leaf shard goes through
 // runOrJoin directly; a shard with a declared split fans its sub-shards
-// out on the pool and gathers. subsRun counts the sub-shards this call
-// executed (always 0 for a leaf). meta is the plan's Remote metadata;
-// peer names the fabric peer that answered a remotely resolved leaf.
-func (e *Engine) resolveShard(key string, s Shard, exp string, meta any, idx int, enq time.Time) (v any, ran bool, wid int, queue, d time.Duration, subsRun int, peer string, err error) {
+// out on the pool and gathers. tier is "" when this call ran the shard
+// and TierJoin or TierRemote when it did not; wid is the worker slot
+// that ran a leaf (-1 otherwise); peer names the fabric peer that
+// answered a remotely resolved leaf. meta is the plan's Remote
+// metadata. Every lookup, execution and dispatch the resolution makes
+// lands in t.
+func (e *Engine) resolveShard(key string, s Shard, exp string, meta any, idx int, enq time.Time, t *Tally) (v any, tier string, wid int, peer string, err error) {
 	if len(s.Subs) == 0 {
-		v, ran, wid, queue, d, peer, err = e.runOrJoin(key, s, exp, meta, s.Key, "", idx, enq)
-		return v, ran, wid, queue, d, 0, peer, err
+		return e.runOrJoin(key, s, exp, meta, s.Key, "", idx, enq, t)
 	}
-	v, ran, queue, d, subsRun, err = e.runSplit(key, s, exp, meta, idx, enq)
-	return v, ran, -1, queue, d, subsRun, "", err
+	v, tier, err = e.runSplit(key, s, exp, meta, idx, enq, t)
+	return v, tier, -1, "", err
 }
 
 // SubKey derives a sub-shard's cache address from its parent shard's
@@ -732,21 +727,21 @@ func SubKey(shardKey, subKey string) string {
 // unit payload, cached under the unit key. The calling goroutine holds
 // no worker slot while its sub-shards queue, so a split never deadlocks
 // the pool, even at one worker; only sub-shard executions occupy slots.
-// queue and d are summed over the sub-shards this call ran (d includes
-// the gather). Sub-shards dispatch to the remote tier individually —
+// The sub-shards' lookups, queue waits and runs, and the gather time,
+// land in t. Sub-shards dispatch to the remote tier individually —
 // each carries its own sub key — while the gather always runs locally.
-func (e *Engine) runSplit(key string, s Shard, exp string, meta any, idx int, enq time.Time) (v any, ran bool, queue, d time.Duration, subsRun int, err error) {
+func (e *Engine) runSplit(key string, s Shard, exp string, meta any, idx int, enq time.Time, t *Tally) (v any, tier string, err error) {
 	e.ifmu.Lock()
 	if c, ok := e.inflight[key]; ok {
 		e.ifmu.Unlock()
 		<-c.done
-		return c.val, false, 0, 0, 0, c.err
+		return c.val, TierJoin, c.err
 	}
 	// Same authoritative re-check as runOrJoin: a unit that completed
 	// after our caller's miss is served from the cache, not recomputed.
 	if v, ok := e.cache.peek(key); ok {
 		e.ifmu.Unlock()
-		return v, false, 0, 0, 0, nil
+		return v, TierJoin, nil
 	}
 	c := &inflightShard{done: make(chan struct{})}
 	e.inflight[key] = c
@@ -754,15 +749,13 @@ func (e *Engine) runSplit(key string, s Shard, exp string, meta any, idx int, en
 
 	parts := make([]any, len(s.Subs))
 	serrs := make([]error, len(s.Subs))
+	// One tally per sub-shard, owned by its goroutine until the barrier.
+	subs := make([]Tally, len(s.Subs))
 	var wg sync.WaitGroup
-	var smu sync.Mutex
 	for si, sub := range s.Subs {
 		skey := SubKey(key, sub.Key)
 		label := s.Key + "/" + sub.Key
-		sv, tier, lat, ok := e.tierGet(skey)
-		if e.rec != nil {
-			e.rec.Record(lookupKind(tier), -1, idx, exp, label, time.Now().Add(-lat), lat, 0)
-		}
+		sv, _, ok := e.tierGet(skey, &subs[si], idx, exp, label)
 		if ok {
 			parts[si] = sv
 			continue
@@ -770,18 +763,17 @@ func (e *Engine) runSplit(key string, s Shard, exp string, meta any, idx int, en
 		wg.Add(1)
 		go func(si int, sub SubShard, skey, label string) {
 			defer wg.Done()
-			sv, sran, _, sq, sd, _, serr := e.runOrJoin(skey, Shard{Key: label, Run: sub.Run}, exp, meta, s.Key, sub.Key, idx, enq)
-			smu.Lock()
-			parts[si], serrs[si] = sv, serr
-			queue += sq
-			d += sd
-			if sran {
-				subsRun++
+			var stier string
+			parts[si], stier, _, _, serrs[si] = e.runOrJoin(skey, Shard{Key: label, Run: sub.Run}, exp, meta, s.Key, sub.Key, idx, enq, &subs[si])
+			if stier == "" {
+				subs[si].SubExecuted++
 			}
-			smu.Unlock()
 		}(si, sub, skey, label)
 	}
 	wg.Wait()
+	for si := range subs {
+		t.add(&subs[si])
+	}
 	for si, serr := range serrs {
 		if serr != nil {
 			err = fmt.Errorf("sub-shard %q: %w", s.Subs[si].Key, serr)
@@ -791,7 +783,7 @@ func (e *Engine) runSplit(key string, s Shard, exp string, meta any, idx int, en
 	if err == nil {
 		t0 := time.Now()
 		v, err = gatherShard(s, parts)
-		d += time.Since(t0)
+		t.ExecTime += time.Since(t0)
 		if err == nil {
 			e.tierPut(key, v)
 		}
@@ -802,7 +794,7 @@ func (e *Engine) runSplit(key string, s Shard, exp string, meta any, idx int, en
 	delete(e.inflight, key)
 	e.ifmu.Unlock()
 	close(c.done)
-	return v, true, queue, d, subsRun, err
+	return v, "", err
 }
 
 // gatherShard isolates Gather panics the way runShard isolates Run's.
@@ -820,24 +812,25 @@ func gatherShard(s Shard, parts []any) (v any, err error) {
 
 // runOrJoin executes the shard under the engine-wide worker bound,
 // deduplicating against concurrent executions of the same key: the first
-// caller runs (and caches the result), later callers wait for it. ran
-// reports whether this caller did the work; wid is the worker slot that
-// carried it (-1 when joined), queue the enq→execution wait, d the
-// execution time. exp and idx label the recorded spans.
+// caller runs (and caches the result), later callers wait for it. tier
+// is "" when this caller did the work and TierJoin when it waited; wid
+// is the worker slot that carried the work (-1 otherwise). The queue
+// wait (enq→execution) and execution time land in t; exp and idx label
+// the recorded spans.
 //
 // When a remote tier is attached and the plan carries Remote metadata,
 // the shard is offered to the fabric after the in-flight registration
-// and before a worker slot is taken: a remote answer (ran=false, peer
-// set) fills the in-flight slot and both local cache tiers exactly as
-// a local execution would, so concurrent requesters join it and warm
-// runs stay local. Remote resolutions never hold a pool slot — a
+// and before a worker slot is taken: a remote answer (tier TierRemote,
+// peer set) fills the in-flight slot and both local cache tiers exactly
+// as a local execution would, so concurrent requesters join it and
+// warm runs stay local. Remote resolutions never hold a pool slot — a
 // coordinator at one worker still fans a whole plan out to its peers.
-func (e *Engine) runOrJoin(key string, s Shard, exp string, meta any, shardKey, subKey string, idx int, enq time.Time) (v any, ran bool, wid int, queue, d time.Duration, peer string, err error) {
+func (e *Engine) runOrJoin(key string, s Shard, exp string, meta any, shardKey, subKey string, idx int, enq time.Time, t *Tally) (v any, tier string, wid int, peer string, err error) {
 	e.ifmu.Lock()
 	if c, ok := e.inflight[key]; ok {
 		e.ifmu.Unlock()
 		<-c.done
-		return c.val, false, -1, 0, 0, "", c.err
+		return c.val, TierJoin, -1, "", c.err
 	}
 	// Re-check the cache under ifmu: a shard that completed after our
 	// caller's cache miss Put its result *before* deregistering from
@@ -846,7 +839,7 @@ func (e *Engine) runOrJoin(key string, s Shard, exp string, meta any, shardKey, 
 	// counters honest (the caller already recorded this lookup as a miss).
 	if v, ok := e.cache.peek(key); ok {
 		e.ifmu.Unlock()
-		return v, false, -1, 0, 0, "", nil
+		return v, TierJoin, -1, "", nil
 	}
 	c := &inflightShard{done: make(chan struct{})}
 	e.inflight[key] = c
@@ -857,7 +850,7 @@ func (e *Engine) runOrJoin(key string, s Shard, exp string, meta any, shardKey, 
 		rv, rpeer, ok, rerr := e.remote.Resolve(key, RemoteRequest{Experiment: exp, Meta: meta, Shard: shardKey, Sub: subKey})
 		if ok && rerr == nil {
 			rlat := time.Since(t0)
-			e.remoteLat.add(rlat)
+			t.RemoteLookup.observe(rlat)
 			e.tierPut(key, rv)
 			if e.rec != nil {
 				e.rec.Record(obs.RemoteDispatch, -1, idx, exp, s.Key, t0, rlat, payloadBytes(rv))
@@ -867,24 +860,25 @@ func (e *Engine) runOrJoin(key string, s Shard, exp string, meta any, shardKey, 
 			delete(e.inflight, key)
 			e.ifmu.Unlock()
 			close(c.done)
-			return rv, false, -1, 0, 0, rpeer, nil
+			return rv, TierRemote, -1, rpeer, nil
 		}
 		if rerr != nil {
 			// Every attempted peer failed: count it and execute locally —
 			// a degraded fleet is slower, never wrong.
-			e.remoteErrs.Add(1)
+			t.RemoteErrors++
 		}
 	}
 
 	wid = <-e.sem
-	queue = time.Since(enq)
-	e.queueWait.add(queue)
+	queue := time.Since(enq)
+	t.QueueWait.observe(queue)
 	if e.rec != nil {
 		e.rec.Record(obs.QueueWait, wid, idx, exp, s.Key, enq, queue, 0)
 	}
 	t0 := time.Now()
 	c.val, c.err = runShard(s)
-	d = time.Since(t0)
+	d := time.Since(t0)
+	t.ExecTime += d
 	e.sem <- wid
 	if c.err == nil {
 		e.tierPut(key, c.val)
@@ -901,7 +895,7 @@ func (e *Engine) runOrJoin(key string, s Shard, exp string, meta any, shardKey, 
 	delete(e.inflight, key)
 	e.ifmu.Unlock()
 	close(c.done)
-	return c.val, true, wid, queue, d, "", c.err
+	return c.val, "", wid, "", c.err
 }
 
 // ResolveLocal serves one shard address on behalf of a fabric
@@ -911,47 +905,24 @@ func (e *Engine) runOrJoin(key string, s Shard, exp string, meta any, shardKey, 
 // is never consulted — a peer answers purely from its own tiers and
 // workers and never re-dispatches, so fabric topologies cannot form
 // forwarding loops. tier names the answering tier ("" when this call
-// executed the shard); executions and hits land in the engine's
-// cumulative metrics so a warm fleet is checkable per daemon.
-func (e *Engine) ResolveLocal(key string, s Shard, exp string) (v any, tier string, err error) {
+// executed the shard); t is the call's accounting, also folded into
+// the engine's cumulative metrics so a warm fleet is checkable per
+// daemon.
+func (e *Engine) ResolveLocal(key string, s Shard, exp string) (v any, tier string, t Tally, err error) {
 	enq := time.Now()
-	v, tier, lat, ok := e.tierGet(key)
-	if e.rec != nil {
-		e.rec.Record(lookupKind(tier), -1, -1, exp, s.Key, time.Now().Add(-lat), lat, 0)
+	v, tier, ok := e.tierGet(key, &t, -1, exp, s.Key)
+	if !ok {
+		v, tier, _, _, err = e.resolveShard(key, s, exp, nil, -1, enq, &t)
 	}
-	if ok {
-		e.mu.Lock()
-		e.metrics.CacheHits++
-		e.mu.Unlock()
-		return v, tier, nil
-	}
-
-	var ran bool
-	var d time.Duration
-	var subsRun int
-	if len(s.Subs) > 0 {
-		v, ran, _, d, subsRun, err = e.runSplit(key, s, exp, nil, -1, enq)
-	} else {
-		v, ran, _, _, d, _, err = e.runOrJoin(key, s, exp, nil, s.Key, "", -1, enq)
-	}
-	if !ran {
-		tier = TierJoin
-	}
+	t.Tiers.count(tier)
 
 	e.mu.Lock()
-	if ran {
-		e.metrics.ShardsExecuted++
-		e.metrics.CacheMisses++
-		e.metrics.SubShardsExecuted += uint64(subsRun)
-		e.metrics.TotalShardTime += d
-	} else {
-		e.metrics.CacheHits++
-	}
+	e.metrics.fold(&t)
 	if err != nil {
 		e.metrics.Errors++
 	}
 	e.mu.Unlock()
-	return v, tier, err
+	return v, tier, t, err
 }
 
 // countWriter counts bytes written through it.

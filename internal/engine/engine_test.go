@@ -228,12 +228,13 @@ func TestRunOrJoinRechecksCacheBeforeExecuting(t *testing.T) {
 	e := New(2, 0)
 	key := Key("exp", "fp", "late")
 	e.cache.Put(key, "already-done")
-	v, ran, _, _, _, _, err := e.runOrJoin(key, Shard{Key: "late", Run: func() (any, error) {
+	var tl Tally
+	v, tier, _, _, err := e.runOrJoin(key, Shard{Key: "late", Run: func() (any, error) {
 		t.Fatal("shard must not re-execute")
 		return nil, nil
-	}}, "exp", nil, "late", "", 0, time.Now())
-	if err != nil || ran || v != "already-done" {
-		t.Fatalf("v=%v ran=%v err=%v", v, ran, err)
+	}}, "exp", nil, "late", "", 0, time.Now(), &tl)
+	if err != nil || tier != TierJoin || v != "already-done" || tl.QueueWait.Count != 0 {
+		t.Fatalf("v=%v tier=%q err=%v tally=%+v", v, tier, err, tl)
 	}
 }
 

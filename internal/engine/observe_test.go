@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -57,7 +58,7 @@ func TestShardEventsExactlyOncePerShard(t *testing.T) {
 			t.Fatalf("cold shard %d: queue=%v wall=%v err=%v", ev.Index, ev.Queue, ev.Wall, ev.Err)
 		}
 	}
-	if stats.Executed != shards || stats.QueueWait < 0 {
+	if stats.Executed != shards || stats.QueueWait.Count != shards || stats.QueueWait.Total < 0 {
 		t.Fatalf("cold stats: %+v", stats)
 	}
 
@@ -73,7 +74,7 @@ func TestShardEventsExactlyOncePerShard(t *testing.T) {
 			t.Fatalf("warm shard %d claims worker %d, want -1", ev.Index, ev.Worker)
 		}
 	}
-	if stats.CacheHits != shards || stats.Executed != 0 || stats.QueueWait != 0 {
+	if stats.CacheHits != shards || stats.Executed != 0 || stats.QueueWait.Count != 0 {
 		t.Fatalf("warm stats: %+v", stats)
 	}
 	if n.Load() != shards {
@@ -200,5 +201,136 @@ func TestLatencyAggregatesWithoutRecorder(t *testing.T) {
 	}
 	if m.QueueWait.Avg() < 0 || m.MemLookup.Avg() < 0 {
 		t.Fatal("negative average latency")
+	}
+}
+
+// TestPerCallAccountingSumsToMetrics runs a mixed sequence of calls on
+// one engine — cold and warm Execute, a batch with duplicate keys, a
+// split unit retried after a sub-shard failure, and fabric-side
+// ResolveLocal — and pins the single accounting path: every call's
+// tier split totals its shard count, and the lifetime Metrics are
+// exactly the sum of the calls' own stats, latency totals included.
+func TestPerCallAccountingSumsToMetrics(t *testing.T) {
+	var n atomic.Int64
+	e := New(2, 0)
+	e.AttachRemote(&fakeRemote{answers: map[string]any{Key("exp", "fp", "shard-00"): "shard-00"}})
+
+	var sum Tally
+	var runs, planned, subsPlanned uint64
+	add := func(name string, shards int, tl Tally) {
+		t.Helper()
+		if got := tl.Tiers.Total(); got != shards {
+			t.Fatalf("%s: tier split %+v totals %d, want %d shards", name, tl.Tiers, got, shards)
+		}
+		sum.add(&tl)
+	}
+	execute := func(name string, p Plan, wantErr bool) RunStats {
+		t.Helper()
+		_, st, err := e.Execute(p)
+		if (err != nil) != wantErr {
+			t.Fatalf("%s: err=%v", name, err)
+		}
+		if st.Executed != st.Tiers.Miss || st.CacheHits != st.Shards-st.Executed {
+			t.Fatalf("%s: stats %+v disagree with their tier split", name, st)
+		}
+		add(name, st.Shards, st.Tally)
+		runs, planned, subsPlanned = runs+1, planned+uint64(st.Shards), subsPlanned+uint64(st.SubShards)
+		return st
+	}
+	batch := func(name string, plans ...Plan) BatchStats {
+		t.Helper()
+		_, stats, errs, bs := e.ExecuteBatch(plans)
+		var perPlan Tally
+		for pi, st := range stats {
+			if errs[pi] != nil {
+				t.Fatalf("%s: plan %d: %v", name, pi, errs[pi])
+			}
+			if st.Tiers.Total() != st.Shards || st.Executed != st.Tiers.Miss {
+				t.Fatalf("%s: plan %d stats %+v disagree with their tier split", name, pi, st)
+			}
+			perPlan.add(&st.Tally)
+			subsPlanned += uint64(st.SubShards)
+		}
+		if perPlan != bs.Tally {
+			t.Fatalf("%s: batch tally %+v is not the sum of its plans' %+v", name, bs.Tally, perPlan)
+		}
+		add(name, bs.ShardRefs, bs.Tally)
+		runs, planned = runs+uint64(len(plans)), planned+uint64(bs.ShardRefs)
+		return bs
+	}
+
+	cold := countingPlan("exp", "fp", 4, &n)
+	cold.Remote = "meta" // shard-00 is answered by the fake peer
+	if st := execute("cold", cold, false); st.Tiers != (TierCounts{Remote: 1, Miss: 3}) ||
+		st.QueueWait.Count != 3 || st.RemoteLookup.Count != 1 || st.MissLookup.Count != 4 {
+		t.Fatalf("cold: %+v", st)
+	}
+	if st := execute("warm", countingPlan("exp", "fp", 4, &n), false); st.Tiers != (TierCounts{Mem: 4}) ||
+		st.QueueWait.Count != 0 || st.MemLookup.Count != 4 {
+		t.Fatalf("warm: %+v", st)
+	}
+
+	// Fresh keys referenced by two plans plus one warm plan: the second
+	// reference to each fresh key is a join.
+	bs := batch("dedup", countingPlan("exp", "fp2", 3, &n), countingPlan("exp", "fp2", 3, &n), countingPlan("exp", "fp", 4, &n))
+	if bs.Tiers != (TierCounts{Mem: 4, Join: 3, Miss: 3}) || bs.Executed != 3 || bs.CacheHits != 4 || bs.Deduplicated != 3 {
+		t.Fatalf("dedup batch: %+v", bs)
+	}
+
+	// A split unit whose first attempt fails on one sub-shard: the retry
+	// misses at the unit level while the sub-shard that succeeded hits.
+	var fail atomic.Bool
+	fail.Store(true)
+	split := func() Plan {
+		return splitPlan("split", "retry", 2, nil, func(j int, run func() (any, error)) func() (any, error) {
+			if j == 0 {
+				return run
+			}
+			return func() (any, error) {
+				if fail.Load() {
+					return nil, errors.New("boom")
+				}
+				return run()
+			}
+		})
+	}
+	if st := execute("split-fail", split(), true); st.Tiers != (TierCounts{Miss: 1}) ||
+		st.SubExecuted != 2 || st.QueueWait.Count != 2 {
+		t.Fatalf("failed split: %+v", st)
+	}
+	fail.Store(false)
+	bs = batch("split-retry", split())
+	if bs.Tiers != (TierCounts{Miss: 1}) || bs.SubExecuted != 1 || bs.QueueWait.Count != 1 ||
+		bs.MemLookup.Count != 1 || bs.MissLookup.Count != 2 {
+		t.Fatalf("retried split: %+v", bs)
+	}
+
+	// A fabric dispatch served by this engine: executed, then warm.
+	leaf := Shard{Key: "peer", Run: func() (any, error) { return "peer", nil }}
+	for _, want := range []string{"", TierMem} {
+		_, tier, tl, err := e.ResolveLocal(Key("exp", "fp", "peer"), leaf, "exp")
+		if err != nil || tier != want {
+			t.Fatalf("ResolveLocal: tier=%q err=%v, want tier %q", tier, err, want)
+		}
+		add("resolve", 1, tl)
+	}
+
+	m := e.Metrics()
+	hits := uint64(sum.Tiers.Total() - sum.Tiers.Miss)
+	if m.Runs != runs || m.ShardsPlanned != planned || m.SubShardsPlanned != subsPlanned || m.Errors != 1 ||
+		m.ShardsExecuted != uint64(sum.Tiers.Miss) || m.CacheMisses != uint64(sum.Tiers.Miss) || m.CacheHits != hits ||
+		m.SubShardsExecuted != uint64(sum.SubExecuted) || m.TotalShardTime != sum.ExecTime || m.RemoteErrors != sum.RemoteErrors {
+		t.Fatalf("metrics %+v are not the sum of the calls' stats %+v", m, sum)
+	}
+	for name, got := range map[string][2]LatencyStats{
+		"queue_wait":    {m.QueueWait, sum.QueueWait},
+		"mem_lookup":    {m.MemLookup, sum.MemLookup},
+		"disk_lookup":   {m.DiskLookup, sum.DiskLookup},
+		"miss_lookup":   {m.MissLookup, sum.MissLookup},
+		"remote_lookup": {m.RemoteLookup, sum.RemoteLookup},
+	} {
+		if got[0] != got[1] {
+			t.Fatalf("%s: metrics %+v, calls sum to %+v", name, got[0], got[1])
+		}
 	}
 }

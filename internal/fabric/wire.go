@@ -75,7 +75,8 @@ func ServeShard(eng *engine.Engine, req ShardRequest) (v any, tier string, err e
 			return nil, "", fmt.Errorf("%w: %q resolves to %s here, coordinator expects %s (mismatched builds in the fleet?)",
 				ErrKeySkew, req.Shard, short(addr), short(req.Key))
 		}
-		return eng.ResolveLocal(addr, run, p.Experiment)
+		v, tier, _, err := eng.ResolveLocal(addr, run, p.Experiment)
+		return v, tier, err
 	}
 	return nil, "", fmt.Errorf("%w: %q in %s", ErrUnknownShard, req.Shard, req.Experiment)
 }

@@ -37,6 +37,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/report"
 )
 
@@ -52,20 +53,9 @@ const (
 	KindLoadTest = "loadtest"
 )
 
-// TierCounts splits a run's shard resolutions by answering tier: the
-// in-memory LRU, the persistent disk tier, a fabric peer, a joined
-// concurrent execution, or a miss (the shard actually executed).
-// Mem+Disk+Remote+Join+Miss equals the plan's shard count.
-type TierCounts struct {
-	Mem    int `json:"mem"`
-	Disk   int `json:"disk"`
-	Remote int `json:"remote,omitempty"`
-	Join   int `json:"join,omitempty"`
-	Miss   int `json:"miss"`
-}
-
-// Total returns the shard count the split accounts for.
-func (t TierCounts) Total() int { return t.Mem + t.Disk + t.Remote + t.Join + t.Miss }
+// TierCounts splits a run's shard resolutions by answering tier (see
+// engine.TierCounts); Total equals the run's shard count.
+type TierCounts = engine.TierCounts
 
 // Latency is a (count, total) latency aggregate in milliseconds — the
 // wire form of engine.LatencyStats.
@@ -155,8 +145,8 @@ type Record struct {
 	Workers   int `json:"workers,omitempty"`
 	SubShards int `json:"sub_shards,omitempty"`
 	// Peers is the configured fabric peer count on the serving daemon
-	// (0 for a single-process run); RemoteLookup is the dispatch
-	// latency window for shards answered by those peers.
+	// (0 for a single-process run); RemoteLookup is this run's dispatch
+	// latency for shards and sub-shards answered by those peers.
 	Peers        int        `json:"peers,omitempty"`
 	Tiers        TierCounts `json:"tiers"`
 	QueueWait    Latency    `json:"queue_wait"`

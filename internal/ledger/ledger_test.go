@@ -1,11 +1,15 @@
 package ledger
 
 import (
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/report"
@@ -315,5 +319,46 @@ func TestDocsHashMarksNilPoints(t *testing.T) {
 	}
 	if DocsHash([]*report.Doc{d1}) != DocsHash([]*report.Doc{d1}) {
 		t.Fatal("DocsHash must be deterministic")
+	}
+}
+
+// metricsServer answers /v1/run with 200 and /v1/metrics with a /v1/run
+// histogram that counts the runs served so far, padded by pad bytes.
+func metricsServer(t *testing.T, pad int) *httptest.Server {
+	var runs atomic.Uint64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/metrics" {
+			runs.Add(1)
+			fmt.Fprint(w, "ok")
+			return
+		}
+		n := runs.Load()
+		json.NewEncoder(w).Encode(map[string]any{
+			"pad": strings.Repeat("x", pad),
+			"endpoints": map[string]endpointBuckets{"/v1/run": {
+				Requests: n, MeanMS: 1, MaxMS: 1,
+				BucketBoundsMS: []float64{2}, BucketCounts: []uint64{n, 0},
+			}},
+		})
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// An over-cap /v1/metrics body is an unavailable server window, not an
+// error: the load test still returns its record, without server
+// quantiles. The same server under the cap yields a window.
+func TestLoadTestOversizedMetricsBody(t *testing.T) {
+	for _, tc := range []struct {
+		pad    int
+		window bool
+	}{{0, true}, {maxMetricsBody, false}} {
+		rec, _, err := LoadTest(LoadTestConfig{BaseURL: metricsServer(t, tc.pad).URL, Clients: 2, Requests: 4})
+		if err != nil {
+			t.Fatalf("pad %d: LoadTest: %v", tc.pad, err)
+		}
+		if rec.Load == nil || rec.Load.Errors != 0 || rec.Load.ServerWindow != tc.window {
+			t.Fatalf("pad %d: load stats %+v, want server window %v", tc.pad, rec.Load, tc.window)
+		}
 	}
 }

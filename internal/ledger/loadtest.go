@@ -118,8 +118,15 @@ func (m metricsView) runBuckets() (obs.HistogramSnapshot, bool) {
 	return m.Endpoints["/v1/run"].snapshot()
 }
 
+// maxMetricsBody caps the /v1/metrics body the harness reads. A
+// daemon's metrics are a few kilobytes; a body past the cap comes from
+// something that is not a rowpressd and is treated like one that
+// exposes no metrics, not read without bound.
+const maxMetricsBody = 1 << 20
+
 // fetchMetrics snapshots the target's /v1/metrics. ok is false when
-// the endpoint is unreachable or does not answer JSON.
+// the endpoint is unreachable, answers more than maxMetricsBody bytes,
+// or does not answer JSON.
 func fetchMetrics(c *LoadTestConfig) (metricsView, bool) {
 	resp, err := c.Client.Get(c.BaseURL + "/v1/metrics")
 	if err != nil {
@@ -129,8 +136,12 @@ func fetchMetrics(c *LoadTestConfig) (metricsView, bool) {
 	if resp.StatusCode != http.StatusOK {
 		return metricsView{}, false
 	}
+	b, err := io.ReadAll(io.LimitReader(resp.Body, maxMetricsBody+1))
+	if err != nil || len(b) > maxMetricsBody {
+		return metricsView{}, false
+	}
 	var m metricsView
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+	if err := json.Unmarshal(b, &m); err != nil {
 		return metricsView{}, false
 	}
 	return m, true
@@ -268,7 +279,7 @@ func loadTestDoc(ls *LoadStats, window obs.HistogramSnapshot) *report.Doc {
 				window.Count, ls.Requests-ls.Errors))
 		}
 	} else {
-		findings = append(findings, "server window unavailable: /v1/metrics exposed no /v1/run histogram buckets; skew not computed")
+		findings = append(findings, "server window unavailable: /v1/metrics gave no readable /v1/run histogram buckets; skew not computed")
 	}
 	if ls.Peers > 0 {
 		findings = append(findings, fmt.Sprintf(

@@ -1,96 +1,45 @@
 package ledger
 
 // This file bridges the engine's in-process observability into durable
-// Record fields: the per-shard tier split (observed off Plan.OnShard),
-// the always-on engine.Metrics latency aggregates (as a before/after
-// window), and the obs.Analyze profile summary for traced runs.
+// Record fields: one engine call's own accounting (the tier split and
+// latency Tally that Execute and ExecuteBatch return) and the
+// obs.Analyze profile summary for traced runs.
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
 )
 
-// ObserveShards returns a shard-event observer that splits resolved
-// shards by answering tier, and a function producing the final split.
-// The snapshot function must only be called after the engine's Execute
-// returns — events arrive from worker goroutines until then.
-func ObserveShards() (func(engine.ShardEvent), func() TierCounts) {
-	var mu sync.Mutex
-	var tc TierCounts
-	onShard := func(ev engine.ShardEvent) {
-		mu.Lock()
-		switch {
-		case !ev.Cached:
-			tc.Miss++
-		case ev.Tier == engine.TierMem:
-			tc.Mem++
-		case ev.Tier == engine.TierDisk:
-			tc.Disk++
-		case ev.Tier == engine.TierRemote:
-			tc.Remote++
-		default:
-			tc.Join++
-		}
-		mu.Unlock()
+// NewRecord builds the record of one engine call from that call's own
+// stats: a run passes its engine.RunStats (Shards, Wall, Tally), a
+// sweep its engine.BatchStats (ShardRefs, Wall, Tally). The tier split
+// totals shards and every latency field counts this call's lookups and
+// executions alone, so a record is exact even on a daemon serving
+// concurrent requests. Callers stamp the rest: Workers, Peers, DocHash,
+// Error, CompletedAt.
+func NewRecord(kind, experiment, optionsHash string, shards int, wall time.Duration, t engine.Tally) Record {
+	return Record{
+		Kind:         kind,
+		Experiment:   experiment,
+		OptionsHash:  optionsHash,
+		WallMS:       ms(wall),
+		Shards:       shards,
+		SubShards:    t.SubExecuted,
+		Tiers:        t.Tiers,
+		QueueWait:    toLatency(t.QueueWait),
+		MemLookup:    toLatency(t.MemLookup),
+		DiskLookup:   toLatency(t.DiskLookup),
+		MissLookup:   toLatency(t.MissLookup),
+		RemoteLookup: toLatency(t.RemoteLookup),
 	}
-	return onShard, func() TierCounts {
-		mu.Lock()
-		defer mu.Unlock()
-		return tc
-	}
-}
-
-// ObservePlan chains ObserveShards onto the plan's OnShard hook
-// (preserving any existing observer) and returns the snapshot
-// function.
-func ObservePlan(p *engine.Plan) func() TierCounts {
-	onShard, snapshot := ObserveShards()
-	prev := p.OnShard
-	p.OnShard = func(ev engine.ShardEvent) {
-		onShard(ev)
-		if prev != nil {
-			prev(ev)
-		}
-	}
-	return snapshot
-}
-
-// SweepTiers approximates a sweep's tier split from an engine metrics
-// window: batch execution has no per-shard event stream, so the
-// mem/disk counts come from the window's tier-attributed lookup
-// counters and within-batch deduplication lands in Join. Under a
-// concurrently serving daemon the window can include other requests'
-// lookups — an aggregate view, consistent with FillWindow's latency
-// fields.
-func SweepTiers(w engine.Metrics, executed, shardRefs int) TierCounts {
-	tc := TierCounts{Mem: int(w.MemLookup.Count), Disk: int(w.DiskLookup.Count), Remote: int(w.RemoteLookup.Count), Miss: executed}
-	if j := shardRefs - tc.Mem - tc.Disk - tc.Remote - tc.Miss; j > 0 {
-		tc.Join = j
-	}
-	return tc
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 func toLatency(s engine.LatencyStats) Latency {
 	return Latency{Count: s.Count, TotalMS: ms(s.Total)}
-}
-
-// FillWindow stamps the record's latency aggregates from an
-// engine.Metrics window (after minus before — see engine.Metrics.Sub).
-// On a single-run process the window is exact; under a concurrently
-// serving daemon it attributes whatever the engine observed during
-// this run's lifetime, which may include overlapping runs' lookups —
-// an aggregate view, not per-request accounting.
-func (r *Record) FillWindow(w engine.Metrics) {
-	r.QueueWait = toLatency(w.QueueWait)
-	r.MemLookup = toLatency(w.MemLookup)
-	r.DiskLookup = toLatency(w.DiskLookup)
-	r.MissLookup = toLatency(w.MissLookup)
-	r.RemoteLookup = toLatency(w.RemoteLookup)
 }
 
 // ProfileFrom summarizes a traced run's obs.Analysis for the ledger.

@@ -13,12 +13,12 @@ import (
 // either belongs to the atomic domain or it does not: mixing the two
 // is a data race the race detector only catches when both sites
 // actually interleave under -race, while the analyzer catches the
-// pattern on any tree. The hand-rolled counters in obs and the
-// engine's LatencyStats accumulators are exactly the kind of code this
-// guards; they use typed atomics (atomic.Uint64 etc.), which make
-// plain access impossible by construction and are therefore ignored
-// here — the check targets the legacy atomic.AddUint64(&s.f, ...)
-// style where nothing stops a bare s.f from creeping in.
+// pattern on any tree. The hand-rolled counters in obs are exactly
+// the kind of code this guards; they use typed atomics (atomic.Uint64
+// etc.), which make plain access impossible by construction and are
+// therefore ignored here — the check targets the legacy
+// atomic.AddUint64(&s.f, ...) style where nothing stops a bare s.f
+// from creeping in.
 //
 // Plain accesses inside functions named New* are exempt: initializing
 // a field before the value escapes to other goroutines is the standard

@@ -7,10 +7,14 @@ package serve
 // live server end to end.
 
 import (
+	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/engine"
@@ -283,5 +287,129 @@ func TestLoadTestAllFailures(t *testing.T) {
 	_, _, err := ledger.LoadTest(ledger.LoadTestConfig{BaseURL: ts.URL, Clients: 2, Requests: 4})
 	if err == nil {
 		t.Fatal("LoadTest against an all-failing server must error")
+	}
+}
+
+// streamRun runs one experiment over NDJSON and returns its shard
+// events. Goroutine-safe: problems come back as errors.
+func streamRun(url string) ([]shardEvent, error) {
+	resp, err := http.Get(url)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("%s: status %d", url, resp.StatusCode)
+	}
+	var events []shardEvent
+	dec := json.NewDecoder(resp.Body)
+	for dec.More() {
+		var ev shardEvent
+		if err := dec.Decode(&ev); err != nil {
+			return nil, err
+		}
+		switch ev.Event {
+		case "shard":
+			events = append(events, ev)
+		case "done":
+		default:
+			return nil, fmt.Errorf("%s: event %q", url, ev.Event)
+		}
+	}
+	return events, nil
+}
+
+// TestConcurrentRunsRecordOwnAccounting runs two experiments at once
+// over NDJSON against one ledger-backed server, next to a sweep. Each
+// run record must describe its own run exactly — tier split, queue-wait
+// count and queue-wait total derived from that run's own event stream —
+// however the runs interleave on the shared engine; the sweep record's
+// tier split must total its shard references.
+func TestConcurrentRunsRecordOwnAccounting(t *testing.T) {
+	_, ts, led := newLedgerServer(t, t.TempDir())
+	exps := []string{"fig6", "fig9"}
+	events := make([][]shardEvent, len(exps))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, exp := range exps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			var err error
+			if events[i], err = streamRun(ts.URL + "/v1/run/" + exp + "?scale=0.05&format=ndjson"); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-start
+		resp, err := http.Post(ts.URL+"/v1/sweep", "application/json",
+			strings.NewReader(`{"experiment":"fig7","scales":[0.05,0.1]}`))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("sweep: status %d", resp.StatusCode)
+		}
+	}()
+	close(start)
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	for i, exp := range exps {
+		recs := led.Records(ledger.Query{Experiment: exp, Kind: ledger.KindRun})
+		if len(recs) != 1 {
+			t.Fatalf("%s: %d run records, want 1", exp, len(recs))
+		}
+		rec := recs[0]
+		var tiers ledger.TierCounts
+		var waits uint64
+		var waitMS float64
+		for _, ev := range events[i] {
+			switch {
+			case !ev.Cached:
+				tiers.Miss++
+				if ev.Subs > 0 {
+					waits += uint64(ev.SubsRun)
+				} else {
+					waits++
+				}
+			case ev.Tier == engine.TierMem:
+				tiers.Mem++
+			case ev.Tier == engine.TierDisk:
+				tiers.Disk++
+			case ev.Tier == engine.TierRemote:
+				tiers.Remote++
+			default:
+				tiers.Join++
+			}
+			waitMS += ev.QueueMS
+		}
+		if rec.Shards != len(events[i]) || rec.Tiers != tiers {
+			t.Errorf("%s: record shards=%d tiers=%+v, events give %d shards tiers=%+v",
+				exp, rec.Shards, rec.Tiers, len(events[i]), tiers)
+		}
+		if rec.QueueWait.Count != waits {
+			t.Errorf("%s: record queue_wait.count=%d, events executed %d", exp, rec.QueueWait.Count, waits)
+		}
+		if math.Abs(rec.QueueWait.TotalMS-waitMS) > 1e-6 {
+			t.Errorf("%s: record queue_wait.total_ms=%v, events sum to %v", exp, rec.QueueWait.TotalMS, waitMS)
+		}
+	}
+
+	sw := led.Records(ledger.Query{Kind: ledger.KindSweep})
+	if len(sw) != 1 {
+		t.Fatalf("%d sweep records, want 1", len(sw))
+	}
+	if sw[0].Tiers.Total() != sw[0].Shards || sw[0].Shards == 0 {
+		t.Fatalf("sweep record tiers %+v total %d, want shard_refs %d", sw[0].Tiers, sw[0].Tiers.Total(), sw[0].Shards)
 	}
 }

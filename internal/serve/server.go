@@ -1,8 +1,8 @@
 // Package serve exposes the experiment engine over HTTP: the serving
-// layer behind cmd/rowpressd and `rowpress -serve`. One engine (and
-// therefore one shard cache) backs every request, so repeated and
-// overlapping runs of the same (experiment, options) are served from
-// memory without re-executing any shard.
+// layer behind cmd/rowpressd. One engine (and therefore one shard
+// cache) backs every request, so repeated and overlapping runs of the
+// same (experiment, options) are served from memory without
+// re-executing any shard.
 //
 // Every endpoint is wrapped in observability middleware: per-route
 // latency histograms, in-flight gauges, and structured request logs
@@ -312,12 +312,6 @@ func (s *Server) Engine() *engine.Engine { return s.eng }
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// ListenAndServe blocks serving on addr.
-func (s *Server) ListenAndServe(addr string) error {
-	srv := &http.Server{Addr: addr, Handler: s, ReadHeaderTimeout: 10 * time.Second}
-	return srv.ListenAndServe()
-}
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -517,16 +511,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// With a ledger attached, count per-shard tier resolutions (chained
-	// under any NDJSON observer) and window the engine's latency
-	// aggregates around this run.
-	var tiers func() ledger.TierCounts
-	var before engine.Metrics
-	if s.ledger != nil {
-		before = s.eng.Metrics()
-		tiers = ledger.ObservePlan(&p)
-	}
-
 	doc, es, err := s.eng.Execute(p)
 	annotate(r.Context(), es.Shards, es.Executed)
 	text := report.Text(doc)
@@ -535,7 +519,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		CacheHits:   es.CacheHits,
 		Executed:    es.Executed,
 		SubExecuted: es.SubExecuted,
-		QueueWaitMS: float64(es.QueueWait) / float64(time.Millisecond),
+		QueueWaitMS: float64(es.QueueWait.Total) / float64(time.Millisecond),
 		WallMS:      float64(es.Wall) / float64(time.Millisecond),
 		FromCache:   es.Executed == 0 && err == nil,
 	}
@@ -548,19 +532,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		CompletedAt: s.now().UTC(),
 	}
 	if s.ledger != nil {
-		lr := ledger.Record{
-			Kind:        ledger.KindRun,
-			Experiment:  id,
-			OptionsHash: o.Hash(),
-			CompletedAt: rec.CompletedAt,
-			WallMS:      stats.WallMS,
-			Shards:      es.Shards,
-			Workers:     s.eng.Workers(),
-			SubShards:   es.SubExecuted,
-			Peers:       s.peerCount(),
-			Tiers:       tiers(),
-		}
-		lr.FillWindow(s.eng.Metrics().Sub(before))
+		lr := ledger.NewRecord(ledger.KindRun, id, o.Hash(), es.Shards, es.Wall, es.Tally)
+		lr.CompletedAt, lr.Workers, lr.Peers = rec.CompletedAt, s.eng.Workers(), s.peerCount()
 		if err != nil {
 			lr.Error = err.Error()
 		} else {
@@ -681,10 +654,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad sweep spec: %v", err)
 		return
 	}
-	var before engine.Metrics
-	if s.ledger != nil {
-		before = s.eng.Metrics()
-	}
 	res, err := sweep.Run(s.eng, spec)
 	if err != nil {
 		status := http.StatusBadRequest
@@ -721,22 +690,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		for i := range res.Points {
 			docs[i] = res.Points[i].Doc
 		}
-		w := s.eng.Metrics().Sub(before)
-		lr := ledger.Record{
-			Kind:        ledger.KindSweep,
-			Experiment:  res.Experiment,
-			OptionsHash: ledger.HashJSON("sweep", spec),
-			DocHash:     ledger.DocsHash(docs),
-			Error:       rec.Error,
-			CompletedAt: rec.CompletedAt,
-			WallMS:      a.WallMS,
-			Shards:      a.ShardRefs,
-			Workers:     s.eng.Workers(),
-			SubShards:   a.SubExecuted,
-			Peers:       s.peerCount(),
-			Tiers:       ledger.SweepTiers(w, a.Executed, a.ShardRefs),
-		}
-		lr.FillWindow(w)
+		b := res.Batch
+		lr := ledger.NewRecord(ledger.KindSweep, res.Experiment, ledger.HashJSON("sweep", spec), b.ShardRefs, b.Wall, b.Tally)
+		lr.DocHash, lr.Error = ledger.DocsHash(docs), rec.Error
+		lr.CompletedAt, lr.Workers, lr.Peers = rec.CompletedAt, s.eng.Workers(), s.peerCount()
 		rec.ID = s.appendLedger(r, lr)
 	}
 	s.record(rec, uint64(a.Failed))

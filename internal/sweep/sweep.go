@@ -93,12 +93,15 @@ type Wall struct {
 }
 
 // Result is a completed sweep: the expanded points in grid order plus
-// the aggregate view.
+// the aggregate view. Batch is the engine's own accounting of the
+// batch (its tier split and latency tally), kept off the wire for the
+// run ledger.
 type Result struct {
-	Experiment string        `json:"experiment"`
-	Title      string        `json:"title,omitempty"`
-	Points     []PointResult `json:"points"`
-	Aggregate  Aggregate     `json:"aggregate"`
+	Experiment string            `json:"experiment"`
+	Title      string            `json:"title,omitempty"`
+	Points     []PointResult     `json:"points"`
+	Aggregate  Aggregate         `json:"aggregate"`
+	Batch      engine.BatchStats `json:"-"`
 }
 
 // MaxPoints bounds a single sweep's expanded grid. The paper's largest
@@ -181,7 +184,7 @@ func Run(eng *engine.Engine, spec Spec) (*Result, error) {
 
 	outs, runStats, errs, bs := eng.ExecuteBatch(plans)
 
-	res := &Result{Experiment: spec.Experiment, Points: make([]PointResult, len(points))}
+	res := &Result{Experiment: spec.Experiment, Points: make([]PointResult, len(points)), Batch: bs}
 	if e, ok := core.Get(spec.Experiment); ok {
 		res.Title = e.Title
 	}
@@ -192,7 +195,7 @@ func Run(eng *engine.Engine, spec Spec) (*Result, error) {
 			CacheHits:   runStats[i].CacheHits,
 			Executed:    runStats[i].Executed,
 			SubExecuted: runStats[i].SubExecuted,
-			QueueWaitMS: ms(runStats[i].QueueWait),
+			QueueWaitMS: ms(runStats[i].QueueWait.Total),
 			WallMS:      ms(runStats[i].Wall),
 		}}
 		if errs[i] != nil {
@@ -212,7 +215,7 @@ func Run(eng *engine.Engine, spec Spec) (*Result, error) {
 	res.Aggregate.CacheHits = bs.CacheHits
 	res.Aggregate.Executed = bs.Executed
 	res.Aggregate.SubExecuted = bs.SubExecuted
-	res.Aggregate.QueueWaitMS = ms(bs.QueueWait)
+	res.Aggregate.QueueWaitMS = ms(bs.QueueWait.Total)
 	res.Aggregate.WallMS = ms(bs.Wall)
 	res.Aggregate.PointWallMS = Wall{Min: sum.Min, Mean: sum.Mean, Max: sum.Max}
 	return res, nil
