@@ -196,7 +196,7 @@ type Tally struct {
 	DiskLookup   LatencyStats  // lookups answered by the persistent tier
 	MissLookup   LatencyStats  // lookups answered by neither tier
 	RemoteLookup LatencyStats  // shards answered by a fabric peer (count = remote hits)
-	RemoteErrors uint64        // dispatches every attempted peer failed; the shard ran locally
+	RemoteErrors uint64        // dispatches the remote tier failed; the shard ran locally
 }
 
 func (t *Tally) add(o *Tally) {
@@ -244,8 +244,8 @@ type Metrics struct {
 	MissLookup   LatencyStats
 	RemoteLookup LatencyStats
 
-	// RemoteErrors counts dispatches that exhausted the remote tier
-	// (every attempted peer failed) and fell back to local execution.
+	// RemoteErrors counts dispatches the remote tier failed; each fell
+	// back to local execution.
 	RemoteErrors uint64
 }
 
@@ -281,8 +281,8 @@ type RemoteRequest struct {
 // before a worker slot is taken, so remote resolutions never occupy
 // the local pool. ok=false with a nil error means "execute locally"
 // (the key hashes to this process, or the owning peer's circuit is
-// open); a non-nil error means every attempted peer failed — the
-// engine counts it and executes locally, so a degraded fleet is
+// open); a non-nil error means the dispatch failed — the engine
+// counts it and executes locally, so a degraded fleet is
 // slower, never wrong. peer names the answering peer on success.
 type RemoteTier interface {
 	Resolve(key string, req RemoteRequest) (v any, peer string, ok bool, err error)
@@ -863,7 +863,7 @@ func (e *Engine) runOrJoin(key string, s Shard, exp string, meta any, shardKey, 
 			return rv, TierRemote, -1, rpeer, nil
 		}
 		if rerr != nil {
-			// Every attempted peer failed: count it and execute locally —
+			// The dispatch failed: count it and execute locally —
 			// a degraded fleet is slower, never wrong.
 			t.RemoteErrors++
 		}

@@ -46,9 +46,9 @@ func newPeer(t *testing.T, mw func(http.Handler) http.Handler) *httptest.Server 
 
 // newCoordinator builds a coordinator engine with a fabric client over
 // the given peers attached as its remote tier.
-func newCoordinator(t *testing.T, cfg fabric.Config) (*engine.Engine, *fabric.Client) {
+func newCoordinator(t *testing.T, peers ...string) (*engine.Engine, *fabric.Client) {
 	t.Helper()
-	fc, err := fabric.New(cfg)
+	fc, err := fabric.New(peers)
 	if err != nil {
 		t.Fatalf("fabric.New: %v", err)
 	}
@@ -65,7 +65,7 @@ func newCoordinator(t *testing.T, cfg fabric.Config) (*engine.Engine, *fabric.Cl
 func TestFabricDocsByteIdentical(t *testing.T) {
 	golden := goldenText(t)
 	p1, p2 := newPeer(t, nil), newPeer(t, nil)
-	eng, fc := newCoordinator(t, fabric.Config{Peers: []string{p1.URL, p2.URL}})
+	eng, fc := newCoordinator(t, p1.URL, p2.URL)
 
 	doc, err := core.RunWith(eng, "fig6", testOpts)
 	if err != nil {
@@ -113,7 +113,7 @@ func TestFabricOutOfOrderAnswers(t *testing.T) {
 		})
 	}
 	p1, p2 := newPeer(t, scramble), newPeer(t, scramble)
-	eng, _ := newCoordinator(t, fabric.Config{Peers: []string{p1.URL, p2.URL}})
+	eng, _ := newCoordinator(t, p1.URL, p2.URL)
 
 	doc, err := core.RunWith(eng, "fig6", testOpts)
 	if err != nil {
@@ -126,9 +126,9 @@ func TestFabricOutOfOrderAnswers(t *testing.T) {
 
 // TestFabricPeerDeathFallback kills one peer after its second answer:
 // remaining dispatches to it fail, the circuit opens, and the
-// coordinator finishes the batch through failover and local execution
-// with output byte-identical to the all-local golden. A degraded fleet
-// is slower, never wrong.
+// coordinator finishes the batch through local execution with output
+// byte-identical to the all-local golden. A degraded fleet is slower,
+// never wrong.
 func TestFabricPeerDeathFallback(t *testing.T) {
 	golden := goldenText(t)
 	var served atomic.Int64
@@ -142,12 +142,7 @@ func TestFabricPeerDeathFallback(t *testing.T) {
 		})
 	}
 	p1, p2 := newPeer(t, nil), newPeer(t, dieAfter)
-	eng, fc := newCoordinator(t, fabric.Config{
-		Peers:        []string{p1.URL, p2.URL},
-		Retries:      -1, // clamp to 0: fail fast, the fallback path is under test
-		FailureLimit: 1,
-		Cooldown:     time.Hour, // stays dead for the whole test
-	})
+	eng, fc := newCoordinator(t, p1.URL, p2.URL)
 
 	doc, err := core.RunWith(eng, "fig6", testOpts)
 	if err != nil {
@@ -156,9 +151,13 @@ func TestFabricPeerDeathFallback(t *testing.T) {
 	if got := report.Text(doc); got != golden {
 		t.Fatal("peer death changed the rendered document")
 	}
-	m := fc.Metrics()
-	if m.PerPeer[1].Dispatches > 2 && m.PerPeer[1].Errors == 0 {
-		t.Fatalf("dead peer took %d dispatches but recorded no errors: %+v", m.PerPeer[1].Dispatches, m.PerPeer[1])
+	if pm := fc.Metrics().PerPeer[1]; pm.Errors == 0 {
+		t.Fatalf("dying peer recorded no failed dispatch, so its death was never exercised: %+v", pm)
+	}
+	// Each failed dispatch is counted by the engine as a remote error
+	// and its shard executed locally.
+	if n := eng.Metrics().RemoteErrors; n == 0 {
+		t.Fatal("engine counted no remote errors: no shard fell back to local execution")
 	}
 }
 
@@ -179,7 +178,7 @@ func TestFabricOversizedPayloadFallsBack(t *testing.T) {
 		})
 	}
 	p1, p2 := newPeer(t, bloated), newPeer(t, bloated)
-	eng, fc := newCoordinator(t, fabric.Config{Peers: []string{p1.URL, p2.URL}, Retries: -1})
+	eng, fc := newCoordinator(t, p1.URL, p2.URL)
 
 	doc, err := core.RunWith(eng, "fig6", testOpts)
 	if err != nil {
@@ -194,53 +193,4 @@ func TestFabricOversizedPayloadFallsBack(t *testing.T) {
 	if eng.Metrics().ShardsExecuted == 0 {
 		t.Fatal("no shard fell back to local execution")
 	}
-}
-
-// TestFabricHedgeRace pins the hedged-request path: the owning peer
-// answers slower than the cold hedge delay, the speculative duplicate
-// goes to the next live peer (pre-warmed, so it answers immediately),
-// and the first answer wins without disturbing correctness.
-func TestFabricHedgeRace(t *testing.T) {
-	slow := func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			time.Sleep(400 * time.Millisecond)
-			next.ServeHTTP(w, r)
-		})
-	}
-	fastEng := engine.New(1, 0)
-	p1 := newPeer(t, slow)
-	p2 := httptest.NewServer(serve.New(fastEng))
-	t.Cleanup(p2.Close)
-	_, fc := newCoordinator(t, fabric.Config{Peers: []string{p1.URL, p2.URL}})
-
-	// Several seeds give the ring several disjoint key sets, so the slow
-	// peer owns at least one key with overwhelming certainty.
-	for seed := uint64(1); seed <= 5; seed++ {
-		o := core.Options{Scale: 0.05, Seed: seed}
-		p, err := core.PlanFor("fig6", o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Pre-warm the hedge target so its answer beats the slow owner.
-		if _, err := core.RunWith(fastEng, "fig6", o); err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range p.Shards {
-			key := engine.Key(p.Experiment, p.Fingerprint, s.Key)
-			v, peerURL, ok, err := fc.Resolve(key, engine.RemoteRequest{Experiment: "fig6", Meta: p.Remote, Shard: s.Key})
-			if err != nil {
-				t.Fatalf("resolve %s: %v", s.Key, err)
-			}
-			if ok && (v == nil || peerURL == "") {
-				t.Fatalf("resolve %s: ok with v=%v peer=%q", s.Key, v, peerURL)
-			}
-		}
-		if m := fc.Metrics(); m.Hedges > 0 && m.HedgeWins > 0 {
-			if m.PerPeer[0].Hedges == 0 {
-				t.Fatalf("hedges fired but none against the slow owner: %+v", m)
-			}
-			return
-		}
-	}
-	t.Fatalf("no hedge won across 5 seeds: %+v", fc.Metrics())
 }

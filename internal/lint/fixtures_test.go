@@ -41,8 +41,8 @@ func TestWallClockLedgerExemptFixture(t *testing.T) {
 	checkFixture(t, lint.FixtureDir("wallclock", "ledger"), lint.WallClock)
 }
 
-// The fabric path element is exempt too: hedge timers, retry backoff,
-// and circuit-breaker cooldowns measure real time by design.
+// The fabric path element is exempt too: circuit-breaker cooldowns,
+// HTTP timeouts and round-trip latency measure real time by design.
 func TestWallClockFabricExemptFixture(t *testing.T) {
 	checkFixture(t, lint.FixtureDir("wallclock", "fabric"), lint.WallClock)
 }

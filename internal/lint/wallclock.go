@@ -29,7 +29,7 @@ var wallClockExempt = map[string]bool{
 	"cmd":      true, // CLI progress reporting
 	"examples": true, // demo output
 	"ledger":   true, // run ledger: completion timestamps and wall/latency measurement are the recorded data
-	"fabric":   true, // peer dispatch: hedge timers, retry backoff, and circuit-breaker cooldowns are real time
+	"fabric":   true, // peer dispatch: circuit-breaker cooldowns, HTTP timeouts and round-trip latency are real time
 }
 
 // wallClockFuncs are the time package's ambient-time entry points.

@@ -300,7 +300,7 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "rowpress_cache_lookup_seconds_total{tier=\"disk_hit\"} %g\n", m.DiskLookup.Total.Seconds())
 	fmt.Fprintf(&b, "rowpress_cache_lookup_seconds_total{tier=\"remote_hit\"} %g\n", m.RemoteLookup.Total.Seconds())
 	fmt.Fprintf(&b, "rowpress_cache_lookup_seconds_total{tier=\"miss\"} %g\n", m.MissLookup.Total.Seconds())
-	counter("rowpress_remote_errors_total", "Shard dispatches that exhausted every fabric peer and fell back to local execution.", float64(m.RemoteErrors))
+	counter("rowpress_remote_errors_total", "Shard dispatches the owning fabric peer failed; the shard fell back to local execution.", float64(m.RemoteErrors))
 
 	if s.fabric != nil {
 		fm := s.fabric.Metrics()
@@ -311,20 +311,14 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 				fmt.Fprintf(&b, "%s{peer=\"%s\"} %d\n", name, promEscape(pm.URL), val(pm))
 			}
 		}
-		peerCounter("rowpress_fabric_dispatches_total", "Shard dispatch attempts per peer (retries included).",
+		peerCounter("rowpress_fabric_dispatches_total", "Shard dispatches sent per peer.",
 			func(pm fabric.PeerMetrics) uint64 { return pm.Dispatches })
 		peerCounter("rowpress_fabric_hits_total", "Successful shard answers per peer.",
 			func(pm fabric.PeerMetrics) uint64 { return pm.Hits })
 		peerCounter("rowpress_fabric_warm_hits_total", "Answers served from the peer's own cache tiers.",
 			func(pm fabric.PeerMetrics) uint64 { return pm.WarmHits })
-		peerCounter("rowpress_fabric_errors_total", "Failed dispatch attempts per peer.",
+		peerCounter("rowpress_fabric_errors_total", "Failed shard dispatches per peer.",
 			func(pm fabric.PeerMetrics) uint64 { return pm.Errors })
-		peerCounter("rowpress_fabric_retries_total", "Retry attempts per peer.",
-			func(pm fabric.PeerMetrics) uint64 { return pm.Retries })
-		peerCounter("rowpress_fabric_hedges_total", "Hedged dispatches fired because this peer was slow.",
-			func(pm fabric.PeerMetrics) uint64 { return pm.Hedges })
-		peerCounter("rowpress_fabric_hedge_wins_total", "Dispatches where the hedge answered first.",
-			func(pm fabric.PeerMetrics) uint64 { return pm.HedgeWins })
 		fmt.Fprintf(&b, "# HELP rowpress_fabric_circuit_open Whether the peer's circuit breaker is open.\n# TYPE rowpress_fabric_circuit_open gauge\n")
 		for _, pm := range fm.PerPeer {
 			open := 0

@@ -326,7 +326,7 @@ func TestWithPprofRegistersHandlers(t *testing.T) {
 func TestHealthzFabricDegraded(t *testing.T) {
 	peerSrv := newHTTPServer(t, New(engine.New(1, 0)))
 	dead := "http://127.0.0.1:1" // nothing listens on port 1
-	fc, err := fabric.New(fabric.Config{Peers: []string{peerSrv.URL, dead}})
+	fc, err := fabric.New([]string{peerSrv.URL, dead})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func TestHealthzFabricDegraded(t *testing.T) {
 	}
 
 	// A fully-live fleet is not degraded.
-	fc2, err := fabric.New(fabric.Config{Peers: []string{peerSrv.URL}})
+	fc2, err := fabric.New([]string{peerSrv.URL})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -158,7 +158,7 @@ type MetricsResponse struct {
 	MissLookupAvgMS  float64 `json:"miss_lookup_avg_ms"`
 
 	// Remote-tier (fabric) view: shards answered by peers, dispatch
-	// latency, and dispatches that exhausted every peer. Zero on a
+	// latency, and failed dispatches that ran locally. Zero on a
 	// daemon running without -peers.
 	RemoteHits        uint64  `json:"remote_hits"`
 	RemoteLookupAvgMS float64 `json:"remote_lookup_avg_ms"`
