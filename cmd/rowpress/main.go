@@ -32,32 +32,20 @@
 // records client- and server-side latency quantiles for the same
 // window.
 //
-// Usage:
-//
-//	rowpress list
-//	rowpress scenarios [-format text|csv]
-//	rowpress run <id> [-scale 0.5] [-modules S0,S3] [-seed 7] [-workers 8]
-//	                  [-format text|json|csv] [-cache-dir DIR] [-stats] [-trace FILE]
-//	                  [-ledger-dir DIR]
-//	rowpress sweep <id> [-scales 0.05,0.1] [-seeds 1,2] [-modulesets "S0,S3;H0,H4"]
-//	                    [-format text|json|csv] [-workers 8] [-ledger-dir DIR]
-//	rowpress profile <id> [-scale 0.5] [-workers 8] [-top 10] [-format text|json|csv]
-//	                      [-trace FILE]
-//	rowpress all [-scale 0.1] [-workers 8] [-ledger-dir DIR]
-//	rowpress history -ledger-dir DIR [-experiment fig6] [-kind run|sweep|loadtest]
-//	                  [-limit 20] [-format text|json|csv]
-//	rowpress compare <a> <b> -ledger-dir DIR [-threshold 0.1] [-gate determinism,regression]
-//	                  [-format text|json|csv]
-//	rowpress loadtest -ledger-dir DIR [-target http://localhost:8271] [-clients 8]
-//	                  [-requests 64] [-mix fig6,table3] [-scale 0.05] [-format text|json|csv]
+// Usage: `rowpress` with no arguments lists the commands and the flags
+// each one accepts (usageText); `rowpress <command> -h` details them. A
+// subcommand rejects any flag its usage does not list.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -71,350 +59,371 @@ import (
 	"repro/internal/sweep"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
-	}
-	cmd := os.Args[1]
-	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-	scale := fs.Float64("scale", 1.0, "scale factor in (0,1] for rows/victims/instructions")
-	modules := fs.String("modules", "", "comma-separated Table 5 module ids (default: one per die revision)")
-	seed := fs.Uint64("seed", 1, "seed for randomized components")
-	scales := fs.String("scales", "", "comma-separated scale list (sweep command)")
-	seeds := fs.String("seeds", "", "comma-separated seed list (sweep command)")
-	moduleSets := fs.String("modulesets", "", `semicolon-separated module sets, e.g. "S0,S3;H0,H4" (sweep command)`)
-	format := fs.String("format", "text", "output rendering: text|json|csv (run/sweep; scenarios supports text|csv)")
-	workers := fs.Int("workers", 0, "concurrent shards per experiment (0 = GOMAXPROCS)")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file (run/sweep/all)")
-	cacheDir := fs.String("cache-dir", "", "persistent shard-cache directory (warm-starts across invocations and daemons)")
-	stats := fs.Bool("stats", false, "print a cache-tier summary line after the run (run/sweep/all)")
-	tracePath := fs.String("trace", "", "write a Chrome trace-event JSON of the run to this file (run/sweep/all/profile)")
-	top := fs.Int("top", 10, "rows in the shard-dominance table (profile command)")
-	ledgerDir := fs.String("ledger-dir", "", "persistent run-ledger directory (stamps runs; history/compare/loadtest read it)")
-	histExp := fs.String("experiment", "", "filter records by experiment id (history command)")
-	histKind := fs.String("kind", "", "filter records by kind: run|sweep|loadtest (history command)")
-	limit := fs.Int("limit", 0, "max records to list, newest first; 0 = all (history command)")
-	threshold := fs.Float64("threshold", 0, "regression-flag threshold as a fraction; 0 = default (compare command)")
-	gate := fs.String("gate", "", "comma-separated findings that fail the exit code: determinism,regression (compare command)")
-	clients := fs.Int("clients", 0, "concurrent clients; 0 = default (loadtest command)")
-	requests := fs.Int("requests", 0, "total requests across clients; 0 = default (loadtest command)")
-	mix := fs.String("mix", "", "comma-separated experiment ids issued round-robin (loadtest command)")
-	target := fs.String("target", "http://localhost:8271", "daemon base URL (loadtest command)")
+// config holds every value a command line can set. Each subcommand's
+// flag set binds only the fields that subcommand accepts.
+type config struct {
+	cmd  string
+	args []string // positional arguments
 
-	opts := func() core.Options {
-		o := core.DefaultOptions()
-		o.Scale = *scale
-		o.Seed = *seed
-		if *modules != "" {
-			o.Modules = strings.Split(*modules, ",")
+	scale                     float64
+	modules                   string
+	seed                      uint64
+	scales, seeds, moduleSets string
+	workers                   int
+	trace, cpuprofile         string
+	cacheDir                  string
+	stats                     bool
+	ledgerDir                 string
+	format                    string
+	top                       int
+	experiment, kind          string
+	limit                     int
+	threshold                 float64
+	gate                      string
+	clients, requests         int
+	mix, target               string
+}
+
+// runFlags binds the options of one experiment run.
+func (c *config) runFlags(fs *flag.FlagSet) {
+	fs.Float64Var(&c.scale, "scale", 1.0, "scale factor in (0,1] for rows/victims/instructions")
+	fs.StringVar(&c.modules, "modules", "", "comma-separated Table 5 module ids (default: one per die revision)")
+	fs.Uint64Var(&c.seed, "seed", 1, "seed for randomized components")
+}
+
+// engineFlags binds the engine's width and the run's trace and CPU
+// profile outputs.
+func (c *config) engineFlags(fs *flag.FlagSet) {
+	fs.IntVar(&c.workers, "workers", 0, "concurrent shards per experiment (0 = GOMAXPROCS)")
+	fs.StringVar(&c.trace, "trace", "", "write a Chrome trace-event JSON of the run to this file")
+	fs.StringVar(&c.cpuprofile, "cpuprofile", "", "write a CPU profile of the run to this file")
+}
+
+// cacheFlags binds the persistent cache tier and the cache-tier
+// summary line.
+func (c *config) cacheFlags(fs *flag.FlagSet) {
+	fs.StringVar(&c.cacheDir, "cache-dir", "", "persistent shard-cache directory (warm-starts across invocations and daemons)")
+	fs.BoolVar(&c.stats, "stats", false, "print a cache-tier summary line after the run")
+}
+
+// ledgerFlag binds the run-ledger directory.
+func (c *config) ledgerFlag(fs *flag.FlagSet) {
+	fs.StringVar(&c.ledgerDir, "ledger-dir", "", "persistent run-ledger directory (run/sweep/all/loadtest stamp it; history/compare read it)")
+}
+
+// formatFlag binds -format, limited to formats; the first is the
+// default.
+func (c *config) formatFlag(fs *flag.FlagSet, formats ...string) {
+	c.format = formats[0]
+	want := strings.Join(formats, "|")
+	fs.Func("format", "output rendering: "+want+" (default "+formats[0]+")", func(s string) error {
+		if !slices.Contains(formats, s) {
+			return fmt.Errorf("want %s", want)
 		}
-		return o
+		c.format = s
+		return nil
+	})
+}
+
+// command is one subcommand's grammar: its positional arguments, which
+// lead the command line, and the flags that follow them.
+type command struct {
+	args  []string
+	flags func(*config, *flag.FlagSet)
+}
+
+var commands = map[string]command{
+	"list": {flags: func(*config, *flag.FlagSet) {}},
+	"scenarios": {flags: func(c *config, fs *flag.FlagSet) {
+		c.formatFlag(fs, "text", "csv")
+	}},
+	"run": {args: []string{"<id>"}, flags: func(c *config, fs *flag.FlagSet) {
+		c.runFlags(fs)
+		c.engineFlags(fs)
+		c.cacheFlags(fs)
+		c.ledgerFlag(fs)
+		c.formatFlag(fs, "text", "json", "csv")
+	}},
+	"sweep": {args: []string{"<id>"}, flags: func(c *config, fs *flag.FlagSet) {
+		fs.StringVar(&c.scales, "scales", "", "comma-separated scale list")
+		fs.StringVar(&c.seeds, "seeds", "", "comma-separated seed list")
+		fs.StringVar(&c.moduleSets, "modulesets", "", `semicolon-separated module sets, e.g. "S0,S3;H0,H4"`)
+		c.engineFlags(fs)
+		c.cacheFlags(fs)
+		c.ledgerFlag(fs)
+		c.formatFlag(fs, "text", "json", "csv")
+	}},
+	// Profiling measures a cold run: a warm-start cache would hide
+	// exactly the execution being measured, so profile takes no cache
+	// flags.
+	"profile": {args: []string{"<id>"}, flags: func(c *config, fs *flag.FlagSet) {
+		c.runFlags(fs)
+		c.engineFlags(fs)
+		fs.IntVar(&c.top, "top", 10, "rows in the shard-dominance table")
+		c.formatFlag(fs, "text", "json", "csv")
+	}},
+	"all": {flags: func(c *config, fs *flag.FlagSet) {
+		c.runFlags(fs)
+		c.engineFlags(fs)
+		c.cacheFlags(fs)
+		c.ledgerFlag(fs)
+	}},
+	"history": {flags: func(c *config, fs *flag.FlagSet) {
+		c.ledgerFlag(fs)
+		fs.StringVar(&c.experiment, "experiment", "", "filter records by experiment id")
+		fs.StringVar(&c.kind, "kind", "", "filter records by kind: run|sweep|loadtest")
+		fs.IntVar(&c.limit, "limit", 0, "max records to list, newest first; 0 = all")
+		c.formatFlag(fs, "text", "json", "csv")
+	}},
+	"compare": {args: []string{"<a>", "<b>"}, flags: func(c *config, fs *flag.FlagSet) {
+		c.ledgerFlag(fs)
+		fs.Float64Var(&c.threshold, "threshold", 0, "regression-flag threshold as a fraction; 0 = default")
+		fs.StringVar(&c.gate, "gate", "", "comma-separated findings that fail the exit code: determinism,regression")
+		c.formatFlag(fs, "text", "json", "csv")
+	}},
+	"loadtest": {flags: func(c *config, fs *flag.FlagSet) {
+		fs.StringVar(&c.target, "target", "http://localhost:8271", "daemon base URL")
+		fs.IntVar(&c.clients, "clients", 0, "concurrent clients; 0 = default")
+		fs.IntVar(&c.requests, "requests", 0, "total requests across clients; 0 = default")
+		fs.StringVar(&c.mix, "mix", "", "comma-separated experiment ids issued round-robin")
+		fs.Float64Var(&c.scale, "scale", 0, "scale of every request; 0 = the load test's default")
+		fs.Uint64Var(&c.seed, "seed", 1, "seed of every request")
+		c.ledgerFlag(fs)
+		c.formatFlag(fs, "text", "json", "csv")
+	}},
+}
+
+// parse reads a command line (without the program name). It writes
+// its diagnostics to out; any error is a usage error (see usageExit).
+func parse(args []string, out io.Writer) (*config, error) {
+	if len(args) == 0 {
+		fmt.Fprint(out, usageText)
+		return nil, errors.New("no command")
 	}
-	eng := func() *engine.Engine {
-		e := engine.New(*workers, 0)
-		if *cacheDir != "" {
-			dc, err := engine.OpenDiskCache(*cacheDir, 0)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "rowpress: -cache-dir: %v\n", err)
-				os.Exit(1)
-			}
-			e.AttachDiskCache(dc)
-		}
-		if *tracePath != "" {
-			e.SetRecorder(obs.NewRecorder(0))
-		}
-		return e
+	cmd, ok := commands[args[0]]
+	if !ok {
+		fmt.Fprint(out, usageText)
+		return nil, fmt.Errorf("unknown command %q", args[0])
 	}
-	// openLedger opens -ledger-dir. Commands that only read the ledger
-	// (history, compare) require one; run-executing commands skip
-	// stamping when unset.
-	openLedger := func(required bool) *ledger.Ledger {
-		if *ledgerDir == "" {
-			if required {
-				fmt.Fprintf(os.Stderr, "rowpress: %s needs -ledger-dir\n", cmd)
-				os.Exit(2)
-			}
-			return nil
-		}
-		l, err := ledger.Open(*ledgerDir, 0)
+	c := &config{cmd: args[0]}
+	fs := flag.NewFlagSet(c.cmd, flag.ContinueOnError)
+	fs.SetOutput(out)
+	fs.Usage = func() {
+		fmt.Fprintf(out, "usage: rowpress %s [flags]\n", strings.Join(append([]string{c.cmd}, cmd.args...), " "))
+		fs.PrintDefaults()
+	}
+	cmd.flags(c, fs)
+	rest := args[1:]
+	for len(c.args) < len(cmd.args) && len(rest) > 0 && !strings.HasPrefix(rest[0], "-") {
+		c.args, rest = append(c.args, rest[0]), rest[1:]
+	}
+	if err := fs.Parse(rest); err != nil {
+		return nil, err
+	}
+	if len(c.args) != len(cmd.args) || fs.NArg() > 0 {
+		fs.Usage()
+		return nil, fmt.Errorf("%s takes %d leading argument(s)", c.cmd, len(cmd.args))
+	}
+	return c, nil
+}
+
+// usageExit is the exit status of a command line parse rejected: 0
+// when it asked for help, 2 otherwise.
+func usageExit(err error) int {
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	return 2
+}
+
+// die reports a failure and exits with code.
+func die(code int, format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "rowpress: "+format+"\n", args...)
+	os.Exit(code)
+}
+
+// options returns the run options the command line selects.
+func (c *config) options() core.Options {
+	o := core.DefaultOptions()
+	o.Scale, o.Seed = c.scale, c.seed
+	if c.modules != "" {
+		o.Modules = strings.Split(c.modules, ",")
+	}
+	return o
+}
+
+// engine builds the engine of a run-executing command: -workers wide,
+// over -cache-dir when set, recording spans when -trace is set.
+func (c *config) engine() *engine.Engine {
+	e := engine.New(c.workers, 0)
+	if c.cacheDir != "" {
+		dc, err := engine.OpenDiskCache(c.cacheDir, 0)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "rowpress: -ledger-dir: %v\n", err)
-			os.Exit(1)
+			die(1, "-cache-dir: %v", err)
 		}
-		return l
+		e.AttachDiskCache(dc)
 	}
-	// finish writes the trace, flushes the disk-cache index, and prints
-	// the -stats summary; every run-executing command calls it before
-	// exiting.
-	finish := func(e *engine.Engine) {
-		if *tracePath != "" {
-			if err := writeTrace(e.Recorder(), *tracePath); err != nil {
-				fmt.Fprintf(os.Stderr, "rowpress: -trace: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if d := e.Disk(); d != nil {
-			if err := d.Flush(); err != nil {
-				fmt.Fprintf(os.Stderr, "rowpress: cache flush: %v\n", err)
-			}
-		}
-		if *stats {
-			// Diagnostics go to stderr so -format json/csv stdout stays
-			// machine-parseable.
-			fmt.Fprint(os.Stderr, statsLine(e))
-		}
+	if c.trace != "" {
+		e.SetRecorder(obs.NewRecorder(0))
 	}
+	return e
+}
 
-	switch cmd {
+// openLedger opens -ledger-dir. Commands that only read the ledger
+// (history, compare) require one; the others skip stamping when unset.
+func (c *config) openLedger(required bool) *ledger.Ledger {
+	if c.ledgerDir == "" {
+		if required {
+			die(2, "%s needs -ledger-dir", c.cmd)
+		}
+		return nil
+	}
+	l, err := ledger.Open(c.ledgerDir, 0)
+	if err != nil {
+		die(1, "-ledger-dir: %v", err)
+	}
+	return l
+}
+
+// finish writes the trace, flushes the disk-cache index, and prints the
+// -stats summary; every run-executing command calls it before exiting.
+func (c *config) finish(e *engine.Engine) {
+	if c.trace != "" {
+		if err := writeTrace(e.Recorder(), c.trace); err != nil {
+			die(1, "-trace: %v", err)
+		}
+	}
+	if d := e.Disk(); d != nil {
+		if err := d.Flush(); err != nil {
+			fmt.Fprintf(os.Stderr, "rowpress: cache flush: %v\n", err)
+		}
+	}
+	if c.stats {
+		// Diagnostics go to stderr so -format json/csv stdout stays
+		// machine-parseable.
+		fmt.Fprint(os.Stderr, statsLine(e))
+	}
+}
+
+// render writes doc to stdout in format.
+func render(doc *report.Doc, format string) {
+	switch format {
+	case "json":
+		b, err := report.JSON(doc)
+		if err != nil {
+			die(1, "%v", err)
+		}
+		os.Stdout.Write(b)
+	case "csv":
+		fmt.Print(report.CSV(doc))
+	default:
+		fmt.Print(report.Text(doc))
+	}
+}
+
+func main() {
+	c, err := parse(os.Args[1:], os.Stderr)
+	if err != nil {
+		os.Exit(usageExit(err))
+	}
+	var e *engine.Engine // the engine of a run-executing command
+	stop := func() {}
+	switch c.cmd {
 	case "list":
-		for _, e := range core.List() {
-			fmt.Printf("%-8s %s\n", e.ID, e.Title)
+		for _, exp := range core.List() {
+			fmt.Printf("%-8s %s\n", exp.ID, exp.Title)
 		}
 	case "scenarios":
-		if err := fs.Parse(os.Args[2:]); err != nil {
-			os.Exit(2)
-		}
-		rejectFlags(fs, "scenarios", "scale", "seed", "modules", "scales", "seeds", "modulesets", "cpuprofile", "cache-dir", "stats", "trace", "top",
-			"ledger-dir", "experiment", "kind", "limit", "threshold", "gate", "clients", "requests", "mix", "target")
-		switch *format {
-		case "text":
-			fmt.Print(scenario.MatrixText())
-		case "csv":
+		if c.format == "csv" {
 			fmt.Print(scenario.MatrixCSV())
-		default:
-			fmt.Fprintf(os.Stderr, "rowpress: bad -format %q for scenarios: want text|csv\n", *format)
-			os.Exit(2)
+		} else {
+			fmt.Print(scenario.MatrixText())
 		}
 	case "run":
-		rest := os.Args[2:]
-		if len(rest) == 0 {
-			fmt.Fprintln(os.Stderr, "rowpress run <id> [flags]")
-			os.Exit(2)
-		}
-		id := rest[0]
-		if err := fs.Parse(rest[1:]); err != nil {
-			os.Exit(2)
-		}
-		rejectFlags(fs, "run", "scales", "seeds", "modulesets", "top",
-			"experiment", "kind", "limit", "threshold", "gate", "clients", "requests", "mix", "target")
-		switch *format {
-		case "text", "json", "csv":
-		default:
-			fmt.Fprintf(os.Stderr, "rowpress: bad -format %q: want text|json|csv\n", *format)
-			os.Exit(2)
-		}
-		e := eng()
-		led := openLedger(false)
-		stop := startProfile(*cpuprofile)
-		runOne(e, led, id, opts(), *format)
-		stop()
-		finish(e)
+		e = c.engine()
+		led := c.openLedger(false)
+		stop = startProfile(c.cpuprofile)
+		runOne(e, led, c.args[0], c.options(), c.format)
 	case "sweep":
-		rest := os.Args[2:]
-		if len(rest) == 0 {
-			fmt.Fprintln(os.Stderr, "rowpress sweep <id> [flags]")
-			os.Exit(2)
-		}
-		id := rest[0]
-		if err := fs.Parse(rest[1:]); err != nil {
-			os.Exit(2)
-		}
-		rejectFlags(fs, "sweep", "scale", "seed", "modules", "top",
-			"experiment", "kind", "limit", "threshold", "gate", "clients", "requests", "mix", "target")
-		switch *format {
-		case "text", "json", "csv":
-		default:
-			fmt.Fprintf(os.Stderr, "rowpress: bad -format %q: want text|json|csv\n", *format)
-			os.Exit(2)
-		}
-		spec, err := buildSpec(id, *scales, *seeds, *moduleSets)
+		spec, err := buildSpec(c.args[0], c.scales, c.seeds, c.moduleSets)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "rowpress: %v\n", err)
-			os.Exit(2)
+			die(2, "%v", err)
 		}
-		e := eng()
-		led := openLedger(false)
-		stop := startProfile(*cpuprofile)
-		runSweep(e, led, spec, *format)
-		stop()
-		finish(e)
+		e = c.engine()
+		led := c.openLedger(false)
+		stop = startProfile(c.cpuprofile)
+		runSweep(e, led, spec, c.format)
 	case "profile":
-		rest := os.Args[2:]
-		if len(rest) == 0 {
-			fmt.Fprintln(os.Stderr, "rowpress profile <id> [flags]")
-			os.Exit(2)
-		}
-		id := rest[0]
-		if err := fs.Parse(rest[1:]); err != nil {
-			os.Exit(2)
-		}
-		// Profiling measures a cold run: a warm-start cache would hide
-		// exactly the execution being measured.
-		rejectFlags(fs, "profile", "scales", "seeds", "modulesets", "cache-dir", "stats",
-			"ledger-dir", "experiment", "kind", "limit", "threshold", "gate", "clients", "requests", "mix", "target")
-		switch *format {
-		case "text", "json", "csv":
-		default:
-			fmt.Fprintf(os.Stderr, "rowpress: bad -format %q: want text|json|csv\n", *format)
-			os.Exit(2)
-		}
-		stop := startProfile(*cpuprofile)
-		runProfile(id, opts(), *workers, *top, *format, *tracePath)
-		stop()
+		stop = startProfile(c.cpuprofile)
+		runProfile(c.args[0], c.options(), c.workers, c.top, c.format, c.trace)
 	case "all":
-		if err := fs.Parse(os.Args[2:]); err != nil {
-			os.Exit(2)
-		}
-		rejectFlags(fs, "all", "scales", "seeds", "modulesets", "format", "top",
-			"experiment", "kind", "limit", "threshold", "gate", "clients", "requests", "mix", "target")
-		e := eng()
-		led := openLedger(false)
-		stop := startProfile(*cpuprofile)
+		e = c.engine()
+		led := c.openLedger(false)
+		stop = startProfile(c.cpuprofile)
 		for _, exp := range core.List() {
-			runOne(e, led, exp.ID, opts(), "text")
+			runOne(e, led, exp.ID, c.options(), "text")
 		}
-		stop()
-		finish(e)
 	case "history":
-		if err := fs.Parse(os.Args[2:]); err != nil {
-			os.Exit(2)
+		led := c.openLedger(true)
+		recs := led.Records(ledger.Query{Experiment: c.experiment, Kind: c.kind, Limit: c.limit})
+		if c.format != "json" {
+			render(ledger.HistoryDoc(recs, led.Stats()), c.format)
+			break
 		}
-		rejectFlags(fs, "history", "scale", "seed", "modules", "scales", "seeds", "modulesets",
-			"workers", "cpuprofile", "cache-dir", "stats", "trace", "top",
-			"threshold", "gate", "clients", "requests", "mix", "target")
-		led := openLedger(true)
-		recs := led.Records(ledger.Query{Experiment: *histExp, Kind: *histKind, Limit: *limit})
-		switch *format {
-		case "json":
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if recs == nil {
-				recs = []ledger.Record{}
-			}
-			if err := enc.Encode(recs); err != nil {
-				fmt.Fprintf(os.Stderr, "rowpress: %v\n", err)
-				os.Exit(1)
-			}
-		case "csv":
-			fmt.Print(report.CSV(ledger.HistoryDoc(recs, led.Stats())))
-		case "text":
-			fmt.Print(report.Text(ledger.HistoryDoc(recs, led.Stats())))
-		default:
-			fmt.Fprintf(os.Stderr, "rowpress: bad -format %q: want text|json|csv\n", *format)
-			os.Exit(2)
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		if recs == nil {
+			recs = []ledger.Record{}
+		}
+		if err := enc.Encode(recs); err != nil {
+			die(1, "%v", err)
 		}
 	case "compare":
-		rest := os.Args[2:]
-		if len(rest) < 2 || strings.HasPrefix(rest[0], "-") || strings.HasPrefix(rest[1], "-") {
-			fmt.Fprintln(os.Stderr, "rowpress compare <a> <b> [flags]   (selectors: record id, or experiment[~N])")
-			os.Exit(2)
-		}
-		selA, selB := rest[0], rest[1]
-		if err := fs.Parse(rest[2:]); err != nil {
-			os.Exit(2)
-		}
-		rejectFlags(fs, "compare", "scale", "seed", "modules", "scales", "seeds", "modulesets",
-			"workers", "cpuprofile", "cache-dir", "stats", "trace", "top",
-			"experiment", "kind", "limit", "clients", "requests", "mix", "target")
-		led := openLedger(true)
-		a, b, err := led.ResolvePair(selA, selB)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rowpress: compare: %v\n", err)
-			os.Exit(1)
-		}
-		d := ledger.Compare(a, b, ledger.CompareOptions{Threshold: *threshold})
-		switch *format {
-		case "json":
-			bts, err := report.JSON(d.Doc)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "rowpress: %v\n", err)
-				os.Exit(1)
+		gates := splitList(c.gate, ",")
+		for _, g := range gates {
+			if g != "determinism" && g != "regression" {
+				die(2, "bad -gate %q: want determinism|regression", g)
 			}
-			os.Stdout.Write(bts)
-		case "csv":
-			fmt.Print(report.CSV(d.Doc))
-		case "text":
-			fmt.Print(report.Text(d.Doc))
-		default:
-			fmt.Fprintf(os.Stderr, "rowpress: bad -format %q: want text|json|csv\n", *format)
-			os.Exit(2)
 		}
+		a, b, err := c.openLedger(true).ResolvePair(c.args[0], c.args[1])
+		if err != nil {
+			die(1, "compare: %v", err)
+		}
+		d := ledger.Compare(a, b, ledger.CompareOptions{Threshold: c.threshold})
+		render(d.Doc, c.format)
 		failed := false
-		for _, g := range splitList(*gate, ",") {
-			switch g {
-			case "determinism":
-				if d.DeterminismViolation {
-					fmt.Fprintln(os.Stderr, "rowpress: compare: determinism gate failed")
-					failed = true
-				}
-			case "regression":
-				if d.Regression {
-					fmt.Fprintln(os.Stderr, "rowpress: compare: regression gate failed")
-					failed = true
-				}
-			default:
-				fmt.Fprintf(os.Stderr, "rowpress: bad -gate %q: want determinism|regression\n", g)
-				os.Exit(2)
+		for _, g := range gates {
+			if (g == "determinism" && d.DeterminismViolation) || (g == "regression" && d.Regression) {
+				fmt.Fprintf(os.Stderr, "rowpress: compare: %s gate failed\n", g)
+				failed = true
 			}
 		}
 		if failed {
 			os.Exit(1)
 		}
 	case "loadtest":
-		if err := fs.Parse(os.Args[2:]); err != nil {
-			os.Exit(2)
-		}
-		rejectFlags(fs, "loadtest", "modules", "scales", "seeds", "modulesets",
-			"workers", "cpuprofile", "cache-dir", "stats", "trace", "top",
-			"experiment", "kind", "limit", "threshold", "gate")
-		switch *format {
-		case "text", "json", "csv":
-		default:
-			fmt.Fprintf(os.Stderr, "rowpress: bad -format %q: want text|json|csv\n", *format)
-			os.Exit(2)
-		}
-		cfg := ledger.LoadTestConfig{
-			BaseURL:  *target,
-			Clients:  *clients,
-			Requests: *requests,
-			Mix:      splitList(*mix, ","),
-			Seed:     *seed,
-		}
-		// -scale defaults to 1.0 for run commands; for a load test an
-		// unset flag should mean the harness default, not a full run.
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "scale" {
-				cfg.Scale = *scale
-			}
+		rec, doc, err := ledger.LoadTest(ledger.LoadTestConfig{
+			BaseURL:  c.target,
+			Clients:  c.clients,
+			Requests: c.requests,
+			Mix:      splitList(c.mix, ","),
+			Scale:    c.scale,
+			Seed:     c.seed,
 		})
-		rec, doc, err := ledger.LoadTest(cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "rowpress: loadtest: %v\n", err)
-			os.Exit(1)
+			die(1, "loadtest: %v", err)
 		}
-		if led := openLedger(false); led != nil {
+		if led := c.openLedger(false); led != nil {
 			if _, aerr := led.Append(rec); aerr != nil {
 				fmt.Fprintf(os.Stderr, "rowpress: ledger: %v\n", aerr)
 			}
 			led.Close()
 		}
-		switch *format {
-		case "json":
-			bts, err := report.JSON(doc)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "rowpress: %v\n", err)
-				os.Exit(1)
-			}
-			os.Stdout.Write(bts)
-		case "csv":
-			fmt.Print(report.CSV(doc))
-		default:
-			fmt.Print(report.Text(doc))
-		}
-	default:
-		usage()
-		os.Exit(2)
+		render(doc, c.format)
+	}
+	stop()
+	if e != nil {
+		c.finish(e)
 	}
 }
 
@@ -426,12 +435,10 @@ func startProfile(path string) func() {
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "rowpress: -cpuprofile: %v\n", err)
-		os.Exit(1)
+		die(1, "-cpuprofile: %v", err)
 	}
 	if err := pprof.StartCPUProfile(f); err != nil {
-		fmt.Fprintf(os.Stderr, "rowpress: -cpuprofile: %v\n", err)
-		os.Exit(1)
+		die(1, "-cpuprofile: %v", err)
 	}
 	return func() {
 		pprof.StopCPUProfile()
@@ -473,22 +480,13 @@ func runOne(eng *engine.Engine, led *ledger.Ledger, id string, o core.Options, f
 		}
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "rowpress: %s: %v\n", id, err)
-		os.Exit(1)
+		die(1, "%s: %v", id, err)
 	}
-	switch format {
-	case "json":
-		b, err := report.JSON(doc)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rowpress: %s: %v\n", id, err)
-			os.Exit(1)
-		}
-		os.Stdout.Write(b)
-	case "csv":
-		fmt.Print(report.CSV(doc))
-	default:
-		fmt.Printf("# %s (%.1fs)\n%s\n", id, time.Since(start).Seconds(), report.Text(doc))
+	if format != "text" {
+		render(doc, format)
+		return
 	}
+	fmt.Printf("# %s (%.1fs)\n%s\n", id, time.Since(start).Seconds(), report.Text(doc))
 }
 
 // runProfile executes one experiment cold under a span recorder and
@@ -502,8 +500,7 @@ func runProfile(id string, o core.Options, workers, top int, format, tracePath s
 	e.SetRecorder(rec)
 	start := time.Now()
 	if _, err := core.RunWith(e, id, o); err != nil {
-		fmt.Fprintf(os.Stderr, "rowpress: profile %s: %v\n", id, err)
-		os.Exit(1)
+		die(1, "profile %s: %v", id, err)
 	}
 	wall := time.Since(start)
 	spans := rec.Snapshot()
@@ -514,23 +511,14 @@ func runProfile(id string, o core.Options, workers, top int, format, tracePath s
 		report.Param{Key: "scale", Value: fmt.Sprintf("%g", o.Scale)},
 		report.Param{Key: "workers", Value: strconv.Itoa(e.Workers())},
 	)
-	switch format {
-	case "json":
-		b, err := report.JSON(doc)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rowpress: profile %s: %v\n", id, err)
-			os.Exit(1)
-		}
-		os.Stdout.Write(b)
-	case "csv":
-		fmt.Print(report.CSV(doc))
-	default:
+	if format == "text" {
 		fmt.Printf("# profile %s (%.1fs wall, %d spans)\n%s\n", id, wall.Seconds(), len(spans), report.Text(doc))
+	} else {
+		render(doc, format)
 	}
 	if tracePath != "" {
 		if err := writeTrace(rec, tracePath); err != nil {
-			fmt.Fprintf(os.Stderr, "rowpress: -trace: %v\n", err)
-			os.Exit(1)
+			die(1, "-trace: %v", err)
 		}
 	}
 }
@@ -575,23 +563,6 @@ func statsLine(eng *engine.Engine) string {
 	return line + "\n"
 }
 
-// rejectFlags exits when any of the named flags was set explicitly: the
-// run and sweep grammars are near-identical (-scale vs -scales), so
-// silently ignoring the wrong variant would run something very
-// different from what the user asked for.
-func rejectFlags(fs *flag.FlagSet, cmd string, names ...string) {
-	bad := make(map[string]bool, len(names))
-	for _, n := range names {
-		bad[n] = true
-	}
-	fs.Visit(func(f *flag.Flag) {
-		if bad[f.Name] {
-			fmt.Fprintf(os.Stderr, "rowpress: -%s does not apply to %q (see `rowpress` usage)\n", f.Name, cmd)
-			os.Exit(2)
-		}
-	})
-}
-
 // buildSpec parses the sweep flag grammar: comma-separated scales and
 // seeds, semicolon-separated module sets (each itself comma-separated;
 // an empty set selects the representative modules).
@@ -632,8 +603,7 @@ func runSweep(eng *engine.Engine, led *ledger.Ledger, spec sweep.Spec, format st
 	start := time.Now()
 	res, err := sweep.Run(eng, spec)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "rowpress: sweep %s: %v\n", spec.Experiment, err)
-		os.Exit(1)
+		die(1, "sweep %s: %v", spec.Experiment, err)
 	}
 	if led != nil {
 		a := res.Aggregate
@@ -656,8 +626,7 @@ func runSweep(eng *engine.Engine, led *ledger.Ledger, spec sweep.Spec, format st
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(res); err != nil {
-			fmt.Fprintf(os.Stderr, "rowpress: %v\n", err)
-			os.Exit(1)
+			die(1, "%v", err)
 		}
 	case "csv":
 		fmt.Print(res.CSV())
@@ -672,30 +641,43 @@ func runSweep(eng *engine.Engine, led *ledger.Ledger, spec sweep.Spec, format st
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `rowpress — RowPress (ISCA 2023) reproduction harness
+// usageText is the top-level help. Each command lists every flag it
+// accepts, directly or through a flag group; cmd/rowpress's tests hold
+// the flag sets to it.
+const usageText = `rowpress — RowPress (ISCA 2023) reproduction harness
+
+usage: rowpress <command> [arguments] [flags]    (rowpress <command> -h: flag details)
 
 commands:
   list                 list all experiment ids (figures and tables)
-  scenarios [flags]    list the attack-scenario matrix (-format text|csv)
-  run <id> [flags]     run one experiment and print its report
-  sweep <id> [flags]   run a batched parameter grid over one experiment
-  profile <id> [flags] run one experiment cold and print the critical-path /
-                       shard-dominance analysis (-top N rows, -trace FILE)
-  all [flags]          run every experiment
-  history [flags]      list the persistent run ledger (-ledger-dir required;
-                       -experiment ID, -kind run|sweep|loadtest, -limit N)
+  scenarios            list the attack-scenario matrix
+      -format text|csv
+  run <id>             run one experiment and print its report
+      RUN  ENGINE  CACHE  -ledger-dir DIR  -format text|json|csv
+  sweep <id>           run a batched parameter grid over one experiment
+      -scales F,F,...  -seeds N,N,...  -modulesets "S0,S3;H0,H4"
+      ENGINE  CACHE  -ledger-dir DIR  -format text|json|csv
+  profile <id>         run one experiment cold and print the critical-path /
+                       shard-dominance analysis
+      RUN  ENGINE  -top N  -format text|json|csv
+  all                  run every experiment
+      RUN  ENGINE  CACHE  -ledger-dir DIR
+  history              list the persistent run ledger
+      -ledger-dir DIR (required)  -experiment ID  -kind run|sweep|loadtest  -limit N
+      -format text|json|csv
   compare <a> <b>      benchstat-style delta between two ledger records;
-                       selectors are a record id or experiment[~N] (N-th newest);
-                       -threshold F, -gate determinism,regression exits 1 on a hit
-  loadtest [flags]     drive a live daemon with concurrent clients and record
+                       selectors are a record id or experiment[~N] (N-th newest)
+      -ledger-dir DIR (required)  -threshold F  -gate determinism,regression (exit 1 on a hit)
+      -format text|json|csv
+  loadtest             drive a live daemon with concurrent clients and record
                        client+server latency quantiles into the ledger
-                       (-target URL, -clients N, -requests N, -mix id,id,...)
+      -target URL  -clients N  -requests N  -mix id,id,...  -scale F  -seed N
+      -ledger-dir DIR  -format text|json|csv
 
-flags: -scale F  -modules S0,S3,...  -seed N  -workers N  -cpuprofile FILE
-       -format text|json|csv  -cache-dir DIR (persistent warm-start cache)  -stats (cache-tier summary)
-       -trace FILE (Chrome trace-event JSON of the shard lifecycle; chrome://tracing, Perfetto)
-       -ledger-dir DIR (append-only run ledger; run/sweep/all stamp records, history/compare/loadtest read)
+flag groups:
+  RUN     -scale F  -modules S0,S3,...  -seed N
+  ENGINE  -workers N  -trace FILE (Chrome trace-event JSON; chrome://tracing, Perfetto)  -cpuprofile FILE
+  CACHE   -cache-dir DIR (persistent warm-start cache)  -stats (cache-tier summary)
+
 serving over HTTP: rowpressd (same -cache-dir and -ledger-dir warm-start it)
-sweep flags: -scales F,F,...  -seeds N,N,...  -modulesets "S0,S3;H0,H4"`)
-}
+`

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/engine"
@@ -16,10 +17,71 @@ import (
 // batched/closed-form fast paths cannot drift without failing here.
 var updateGolden = flag.Bool("update", false, "rewrite golden experiment reports")
 
-// goldenOptions mirrors TestEngineDeterminismAndCache's configuration so
-// the two suites pin the same reports.
+// goldenOptions is the configuration every golden-fixture run uses.
 func goldenOptions() Options {
 	return Options{Scale: 0.05, Seed: 1, Modules: []string{"S0", "S3", "M3"}}
+}
+
+// goldenWorkers are the engine widths the fixture runs every
+// experiment at: serial, the CI host's core count, and oversubscribed.
+var goldenWorkers = []int{1, 2, 8}
+
+// goldenRun is one experiment's cold run on one fixture engine.
+type goldenRun struct {
+	doc   *report.Doc
+	stats engine.RunStats
+	err   error
+}
+
+// goldenFixture holds, per worker count, the engine the cold runs used
+// (its caches now hold every golden shard) and each experiment's run.
+type goldenFixture struct {
+	engines map[int]*engine.Engine
+	runs    map[int]map[string]goldenRun
+}
+
+var (
+	fixtureOnce sync.Once
+	fixture     goldenFixture
+)
+
+// goldenRuns computes every registered experiment cold at the golden
+// options once per worker count, each width on its own fresh engine,
+// and shares the result with every test that checks those reports.
+// The widths run concurrently, each goroutine filling only its own
+// width's map.
+func goldenRuns() *goldenFixture {
+	fixtureOnce.Do(func() {
+		fixture = goldenFixture{engines: map[int]*engine.Engine{}, runs: map[int]map[string]goldenRun{}}
+		var wg sync.WaitGroup
+		for _, w := range goldenWorkers {
+			eng := engine.New(w, 0)
+			runs := map[string]goldenRun{}
+			fixture.engines[w], fixture.runs[w] = eng, runs
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, e := range List() {
+					var r goldenRun
+					r.doc, r.stats, r.err = RunObserved(eng, e.ID, goldenOptions(), nil)
+					runs[e.ID] = r
+				}
+			}()
+		}
+		wg.Wait()
+	})
+	return &fixture
+}
+
+// goldenRunAt returns experiment id's fixture run at w workers, failing
+// the test when that run failed.
+func goldenRunAt(t *testing.T, w int, id string) goldenRun {
+	t.Helper()
+	r := goldenRuns().runs[w][id]
+	if r.err != nil {
+		t.Fatalf("run (%d workers): %v", w, r.err)
+	}
+	return r
 }
 
 // TestGoldenReports asserts that every registered experiment reproduces
@@ -30,19 +92,10 @@ func goldenOptions() Options {
 // ordering drift in the fast paths, and any completion-order dependence
 // in a Gather, shows up as a diff here.
 func TestGoldenReports(t *testing.T) {
-	o := goldenOptions()
-	serial := engine.New(1, 0)
-	two := engine.New(2, 0)
-	wide := engine.New(8, 0)
 	for _, e := range List() {
-		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			path := filepath.Join("testdata", "golden", e.ID+".golden")
-			doc, err := RunWith(serial, e.ID, o)
-			if err != nil {
-				t.Fatalf("run: %v", err)
-			}
-			got := report.Text(doc)
+			got := report.Text(goldenRunAt(t, 1, e.ID).doc)
 			if *updateGolden {
 				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 					t.Fatal(err)
@@ -57,16 +110,9 @@ func TestGoldenReports(t *testing.T) {
 				t.Errorf("report differs from golden %s\n--- want ---\n%s\n--- got ---\n%s",
 					path, want, got)
 			}
-			for _, w := range []struct {
-				n   int
-				eng *engine.Engine
-			}{{2, two}, {8, wide}} {
-				wideDoc, err := RunWith(w.eng, e.ID, o)
-				if err != nil {
-					t.Fatalf("run (%d workers): %v", w.n, err)
-				}
-				if report.Text(wideDoc) != got {
-					t.Errorf("%d-worker report differs from serial report", w.n)
+			for _, w := range goldenWorkers[1:] {
+				if report.Text(goldenRunAt(t, w, e.ID).doc) != got {
+					t.Errorf("%d-worker report differs from serial report", w)
 				}
 			}
 		})

@@ -23,17 +23,12 @@ import (
 //   - the CSV rendering is non-empty and every non-comment line parses
 //     as RFC 4180 CSV.
 //
-// Runs on the default engine with the golden options, so shards are
-// shared with the smoke suite instead of recomputed.
+// Reads the serial run of the shared golden fixture, so nothing is
+// recomputed.
 func TestRendererEquivalence(t *testing.T) {
-	o := goldenOptions()
 	for _, e := range List() {
-		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			doc, err := Run(e.ID, o)
-			if err != nil {
-				t.Fatalf("run: %v", err)
-			}
+			doc := goldenRunAt(t, 1, e.ID).doc
 
 			want, err := os.ReadFile(filepath.Join("testdata", "golden", e.ID+".golden"))
 			if err != nil {

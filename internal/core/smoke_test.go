@@ -8,14 +8,9 @@ import (
 )
 
 func TestSmokeAllExperiments(t *testing.T) {
-	o := Options{Scale: 0.05, Seed: 1, Modules: []string{"S0", "S3", "M3"}}
 	for _, e := range List() {
-		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			doc, err := e.Run(o)
-			if err != nil {
-				t.Fatalf("%s: %v", e.ID, err)
-			}
+			doc := goldenRunAt(t, 1, e.ID).doc
 			if len(doc.Sections) == 0 {
 				t.Fatalf("%s: document has no sections", e.ID)
 			}

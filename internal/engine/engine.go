@@ -68,12 +68,15 @@ const (
 	TierRemote = "remote"
 )
 
-// ShardEvent describes one resolved shard of an Execute call: either a
-// cache hit (Cached, Wall 0, Tier naming the tier that answered) or a
-// completed execution (Worker is the pool slot that ran it, Queue the
-// dispatch→execution wait). Err is non-nil when the shard failed. A
-// split shard is executed by many pool slots at once, so its Worker is
-// -1; Subs and SubsRun break out how much of its split ran.
+// ShardEvent describes one resolved shard of a plan run by Execute or
+// ExecuteBatch: either a cache hit (Cached, Wall 0, Tier naming the
+// tier that answered) or a completed execution (Worker is the pool
+// slot that ran it, Queue the dispatch→execution wait). In a batch, a
+// reference to a key an earlier shard of the batch already resolved
+// is a join (Cached, Tier "join", Worker -1). Err is non-nil when the
+// shard failed. A split shard is executed by many pool slots at once,
+// so its Worker is -1; Subs and SubsRun break out how much of its
+// split ran.
 type ShardEvent struct {
 	Index   int           // shard index within the plan
 	Key     string        // the shard's plan-level key
@@ -92,8 +95,9 @@ type ShardEvent struct {
 // in shard order (index i holds the result of Shards[i]) and assembles
 // the final typed result document. OnShard, when set, is invoked once
 // per shard as it resolves — possibly concurrently from worker
-// goroutines, so observers must synchronize — before Merge runs; the
-// serving layer uses it to stream per-shard completion events.
+// goroutines, so observers must synchronize — before Merge runs, in
+// Execute and ExecuteBatch alike; the serving layer uses it to stream
+// per-shard completion events.
 type Plan struct {
 	Experiment  string // experiment id, e.g. "fig6"
 	Fingerprint string // canonical encoding of the run options
@@ -109,17 +113,18 @@ type Plan struct {
 	Remote any
 }
 
-// RunStats describes one Execute call. Shard counts are unit-level: a
-// split shard counts once in Shards/Executed/CacheHits; its declared
-// and actually-run sub-shards are broken out in SubShards/SubExecuted.
-// The embedded Tally is the call's own accounting, exact however many
-// other calls the engine serves at the same time.
+// RunStats describes one plan's run in an Execute or ExecuteBatch
+// call. Shard counts are unit-level: a split shard counts once in
+// Shards/Executed/CacheHits; its declared and actually-run sub-shards
+// are broken out in SubShards/SubExecuted. The embedded Tally is the
+// plan's own accounting, exact however many other calls the engine
+// serves at the same time.
 type RunStats struct {
 	Shards    int           // shards in the plan
 	CacheHits int           // shards served from a cache tier, a peer, or a concurrent in-flight execution
 	Executed  int           // shards this call actually ran (Tiers.Miss)
 	SubShards int           // sub-shards declared across the plan's split shards
-	Wall      time.Duration // wall-clock time of the whole Execute, merge included
+	Wall      time.Duration // Execute: the whole call's wall clock; ExecuteBatch: the plan's owned shard time plus its merge
 	Tally
 }
 
@@ -430,107 +435,16 @@ func (e *Engine) tierPut(key string, v any) {
 	}
 }
 
-// Execute runs the plan: cached shards are served from the memory tier
-// (falling back to the disk tier when one is attached), the rest run on
-// the worker pool, and Merge assembles the payloads in shard order into
-// the result document. The first shard error (by shard index) aborts
-// the run.
+// Execute runs one plan: it is ExecuteBatch of that plan alone, so
+// cached shards are served from the memory tier (falling back to the
+// disk tier when one is attached), the rest run on the worker pool, and
+// Merge assembles the payloads in shard order into the result document.
+// The first shard error (by shard index) aborts the run. RunStats.Wall
+// is the wall clock of the whole call, merge included.
 func (e *Engine) Execute(p Plan) (*report.Doc, RunStats, error) {
-	start := time.Now()
-	stats := RunStats{Shards: len(p.Shards)}
-
-	parts := make([]any, len(p.Shards))
-	errs := make([]error, len(p.Shards))
-	// One tally per shard, owned by the shard's goroutine until the
-	// barrier; its event reports the shard's own queue, wall and subs.
-	tallies := make([]Tally, len(p.Shards))
-	var missing []int
-	keys := make([]string, len(p.Shards))
-	for i, s := range p.Shards {
-		keys[i] = Key(p.Experiment, p.Fingerprint, s.Key)
-		stats.SubShards += len(s.Subs)
-		v, tier, ok := e.tierGet(keys[i], &tallies[i], i, p.Experiment, s.Key)
-		if ok {
-			parts[i] = v
-			tallies[i].Tiers.count(tier)
-			if p.OnShard != nil {
-				p.OnShard(ShardEvent{Index: i, Key: s.Key, Cached: true, Tier: tier, Worker: -1, Subs: len(s.Subs)})
-			}
-		} else {
-			missing = append(missing, i)
-		}
-	}
-
-	if len(missing) > 0 {
-		barrierStart := time.Now()
-		var wg sync.WaitGroup
-		for _, i := range missing {
-			wg.Add(1)
-			enq := time.Now()
-			go func(i int) {
-				defer wg.Done()
-				t := &tallies[i]
-				v, tier, wid, peer, err := e.resolveShard(keys[i], p.Shards[i], p.Experiment, p.Remote, i, enq, t)
-				t.Tiers.count(tier)
-				parts[i], errs[i] = v, err
-				if p.OnShard != nil {
-					p.OnShard(ShardEvent{Index: i, Key: p.Shards[i].Key, Cached: tier != "", Tier: tier, Peer: peer,
-						Worker: wid, Queue: t.QueueWait.Total, Wall: t.ExecTime, Subs: len(p.Shards[i].Subs),
-						SubsRun: t.SubExecuted, Err: err})
-				}
-			}(i)
-		}
-		wg.Wait()
-		if e.rec != nil {
-			e.rec.Record(obs.Barrier, -1, -1, p.Experiment, "", barrierStart, time.Since(barrierStart), 0)
-		}
-	}
-	for i := range tallies {
-		stats.Tally.add(&tallies[i])
-	}
-	stats.Executed = stats.Tiers.Miss
-	stats.CacheHits = stats.Shards - stats.Executed
-
-	var firstErr error
-	for _, i := range missing {
-		if errs[i] != nil {
-			firstErr = fmt.Errorf("engine: %s shard %q: %w", p.Experiment, p.Shards[i].Key, errs[i])
-			break
-		}
-	}
-
-	var out *report.Doc
-	if firstErr == nil {
-		var err error
-		var mt time.Time
-		if e.rec != nil {
-			mt = time.Now()
-		}
-		out, err = p.Merge(parts)
-		if e.rec != nil {
-			e.rec.Record(obs.Merge, -1, -1, p.Experiment, "", mt, time.Since(mt), 0)
-		}
-		if err != nil {
-			firstErr = fmt.Errorf("engine: %s merge: %w", p.Experiment, err)
-		}
-	}
-	stats.Wall = time.Since(start)
-
-	e.mu.Lock()
-	e.metrics.Runs++
-	e.metrics.ShardsPlanned += uint64(stats.Shards)
-	e.metrics.SubShardsPlanned += uint64(stats.SubShards)
-	e.metrics.TotalWall += stats.Wall
-	e.metrics.fold(&stats.Tally)
-	if firstErr != nil {
-		e.metrics.Errors++
-	}
-	e.mu.Unlock()
-
-	if firstErr != nil {
-		return nil, stats, firstErr
-	}
-	return out, stats, nil
+	outs, stats, errs, bs := e.ExecuteBatch([]Plan{p})
+	stats[0].Wall = bs.Wall
+	return outs[0], stats[0], errs[0]
 }
 
 // BatchStats describes one ExecuteBatch call. Shard references are
@@ -553,11 +467,22 @@ type BatchStats struct {
 
 // batchShard is the shared execution slot for one unique key in a batch.
 type batchShard struct {
+	key   string
 	shard Shard // the first-seen Shard for this key (all are equivalent)
+	owner int   // index of the first plan referencing this key
+	idx   int   // the shard's index in the owner plan
 	val   any
 	err   error
-	owner int   // index of the first plan referencing this key
 	t     Tally // the key's lookup, resolution and execution, charged to the owner
+}
+
+// event reports the slot's resolution to its owner plan. tier is the
+// answering tier ("" when this call executed the shard); wid and peer
+// are resolveShard's.
+func (sl *batchShard) event(tier string, wid int, peer string) ShardEvent {
+	return ShardEvent{Index: sl.idx, Key: sl.shard.Key, Cached: tier != "", Tier: tier, Peer: peer,
+		Worker: wid, Queue: sl.t.QueueWait.Total, Wall: sl.t.ExecTime, Subs: len(sl.shard.Subs),
+		SubsRun: sl.t.SubExecuted, Err: sl.err}
 }
 
 // ExecuteBatch runs many plans as one deduplicated unit of work: the
@@ -566,6 +491,11 @@ type batchShard struct {
 // and every plan's Merge then assembles its report from the shared
 // payloads. Plans are independent: a shard or merge failure poisons only
 // the plans that reference it, reported per-plan in errs.
+//
+// Each plan's OnShard fires once per shard of that plan, before its
+// Merge: for the first reference to a key when the key resolves (at
+// lookup for a cache hit, from the resolving goroutine otherwise), and
+// for every later reference after the barrier, as a join.
 //
 // Per-plan RunStats follow first-owner accounting: the first plan
 // referencing a shard records its lookup and resolution, and every
@@ -581,71 +511,83 @@ func (e *Engine) ExecuteBatch(plans []Plan) (outs []*report.Doc, stats []RunStat
 	stats = make([]RunStats, len(plans))
 	errs = make([]error, len(plans))
 
-	keys := make([][]string, len(plans))
+	refs := make([][]*batchShard, len(plans)) // refs[pi][si] is the slot of plans[pi].Shards[si]
 	slots := map[string]*batchShard{}
-	var order []string // unique keys in first-occurrence order
+	var order []*batchShard // unique slots in first-occurrence order
 	for pi, p := range plans {
-		keys[pi] = make([]string, len(p.Shards))
+		refs[pi] = make([]*batchShard, len(p.Shards))
 		stats[pi].Shards = len(p.Shards)
 		bs.ShardRefs += len(p.Shards)
 		for si, s := range p.Shards {
 			k := Key(p.Experiment, p.Fingerprint, s.Key)
-			keys[pi][si] = k
 			stats[pi].SubShards += len(s.Subs)
-			if _, ok := slots[k]; ok {
+			sl, ok := slots[k]
+			if ok {
 				bs.Deduplicated++
-				continue
+			} else {
+				sl = &batchShard{key: k, shard: s, owner: pi, idx: si}
+				slots[k] = sl
+				order = append(order, sl)
 			}
-			slots[k] = &batchShard{shard: s, owner: pi}
-			order = append(order, k)
+			refs[pi][si] = sl
 		}
 	}
 	bs.UniqueShards = len(order)
 
-	var missing []string
-	for _, k := range order {
-		sl := slots[k]
-		v, tier, ok := e.tierGet(k, &sl.t, -1, plans[sl.owner].Experiment, sl.shard.Key)
-		if ok {
-			sl.val = v
-			sl.t.Tiers.count(tier)
-		} else {
-			missing = append(missing, k)
+	var missing []*batchShard
+	for _, sl := range order {
+		p := &plans[sl.owner]
+		v, tier, ok := e.tierGet(sl.key, &sl.t, sl.idx, p.Experiment, sl.shard.Key)
+		if !ok {
+			missing = append(missing, sl)
+			continue
+		}
+		sl.val = v
+		sl.t.Tiers.count(tier)
+		if p.OnShard != nil {
+			p.OnShard(sl.event(tier, -1, ""))
 		}
 	}
 
 	if len(missing) > 0 {
 		barrierStart := time.Now()
 		var wg sync.WaitGroup
-		for _, k := range missing {
+		for _, sl := range missing {
 			wg.Add(1)
 			enq := time.Now()
-			go func(k string, sl *batchShard) {
+			go func(sl *batchShard) {
 				defer wg.Done()
-				var tier string
-				sl.val, tier, _, _, sl.err = e.resolveShard(k, sl.shard, plans[sl.owner].Experiment, plans[sl.owner].Remote, -1, enq, &sl.t)
+				p := &plans[sl.owner]
+				v, tier, wid, peer, err := e.resolveShard(sl.key, sl.shard, p.Experiment, p.Remote, sl.idx, enq, &sl.t)
 				sl.t.Tiers.count(tier)
-			}(k, slots[k])
+				sl.val, sl.err = v, err
+				if p.OnShard != nil {
+					p.OnShard(sl.event(tier, wid, peer))
+				}
+			}(sl)
 		}
 		wg.Wait()
 		if e.rec != nil {
-			e.rec.Record(obs.Barrier, -1, -1, "batch", "", barrierStart, time.Since(barrierStart), 0)
+			e.rec.Record(obs.Barrier, -1, -1, batchLabel(plans), "", barrierStart, time.Since(barrierStart), 0)
 		}
 	}
 
 	for pi, p := range plans {
 		parts := make([]any, len(p.Shards))
-		for si := range p.Shards {
-			sl := slots[keys[pi][si]]
+		for si, sl := range refs[pi] {
 			if sl.err != nil && errs[pi] == nil {
 				errs[pi] = fmt.Errorf("engine: %s shard %q: %w", p.Experiment, p.Shards[si].Key, sl.err)
 			}
 			parts[si] = sl.val
-			if sl.owner == pi {
+			if sl.owner == pi && sl.idx == si {
 				stats[pi].Tally.add(&sl.t)
 				stats[pi].Wall += sl.t.ExecTime
-			} else {
-				stats[pi].Tiers.Join++
+				continue
+			}
+			stats[pi].Tiers.Join++
+			if p.OnShard != nil {
+				p.OnShard(ShardEvent{Index: si, Key: p.Shards[si].Key, Cached: true, Tier: TierJoin,
+					Worker: -1, Subs: len(p.Shards[si].Subs), Err: sl.err})
 			}
 		}
 		stats[pi].Executed = stats[pi].Tiers.Miss
@@ -683,6 +625,17 @@ func (e *Engine) ExecuteBatch(plans []Plan) (outs []*report.Doc, stats []RunStat
 	}
 	e.mu.Unlock()
 	return outs, stats, errs, bs
+}
+
+// batchLabel names a batch's barrier span: the plans' experiment when
+// they all share one, else "batch".
+func batchLabel(plans []Plan) string {
+	for _, p := range plans[1:] {
+		if p.Experiment != plans[0].Experiment {
+			return "batch"
+		}
+	}
+	return plans[0].Experiment
 }
 
 // lookupKind maps a tierGet result onto its span kind.
@@ -731,21 +684,10 @@ func SubKey(shardKey, subKey string) string {
 // land in t. Sub-shards dispatch to the remote tier individually —
 // each carries its own sub key — while the gather always runs locally.
 func (e *Engine) runSplit(key string, s Shard, exp string, meta any, idx int, enq time.Time, t *Tally) (v any, tier string, err error) {
-	e.ifmu.Lock()
-	if c, ok := e.inflight[key]; ok {
-		e.ifmu.Unlock()
-		<-c.done
-		return c.val, TierJoin, c.err
+	c, v, err := e.claim(key)
+	if c == nil {
+		return v, TierJoin, err
 	}
-	// Same authoritative re-check as runOrJoin: a unit that completed
-	// after our caller's miss is served from the cache, not recomputed.
-	if v, ok := e.cache.peek(key); ok {
-		e.ifmu.Unlock()
-		return v, TierJoin, nil
-	}
-	c := &inflightShard{done: make(chan struct{})}
-	e.inflight[key] = c
-	e.ifmu.Unlock()
 
 	parts := make([]any, len(s.Subs))
 	serrs := make([]error, len(s.Subs))
@@ -784,16 +726,8 @@ func (e *Engine) runSplit(key string, s Shard, exp string, meta any, idx int, en
 		t0 := time.Now()
 		v, err = gatherShard(s, parts)
 		t.ExecTime += time.Since(t0)
-		if err == nil {
-			e.tierPut(key, v)
-		}
 	}
-	c.val, c.err = v, err
-
-	e.ifmu.Lock()
-	delete(e.inflight, key)
-	e.ifmu.Unlock()
-	close(c.done)
+	e.release(key, c, v, err)
 	return v, "", err
 }
 
@@ -826,24 +760,10 @@ func gatherShard(s Shard, parts []any) (v any, err error) {
 // warm runs stay local. Remote resolutions never hold a pool slot — a
 // coordinator at one worker still fans a whole plan out to its peers.
 func (e *Engine) runOrJoin(key string, s Shard, exp string, meta any, shardKey, subKey string, idx int, enq time.Time, t *Tally) (v any, tier string, wid int, peer string, err error) {
-	e.ifmu.Lock()
-	if c, ok := e.inflight[key]; ok {
-		e.ifmu.Unlock()
-		<-c.done
-		return c.val, TierJoin, -1, "", c.err
+	c, v, err := e.claim(key)
+	if c == nil {
+		return v, TierJoin, -1, "", err
 	}
-	// Re-check the cache under ifmu: a shard that completed after our
-	// caller's cache miss Put its result *before* deregistering from
-	// inflight, so absent-from-inflight + present-in-cache is authoritative
-	// and the result must not be recomputed. peek keeps the hit/miss
-	// counters honest (the caller already recorded this lookup as a miss).
-	if v, ok := e.cache.peek(key); ok {
-		e.ifmu.Unlock()
-		return v, TierJoin, -1, "", nil
-	}
-	c := &inflightShard{done: make(chan struct{})}
-	e.inflight[key] = c
-	e.ifmu.Unlock()
 
 	if e.remote != nil && meta != nil {
 		t0 := time.Now()
@@ -851,15 +771,10 @@ func (e *Engine) runOrJoin(key string, s Shard, exp string, meta any, shardKey, 
 		if ok && rerr == nil {
 			rlat := time.Since(t0)
 			t.RemoteLookup.observe(rlat)
-			e.tierPut(key, rv)
+			e.release(key, c, rv, nil)
 			if e.rec != nil {
 				e.rec.Record(obs.RemoteDispatch, -1, idx, exp, s.Key, t0, rlat, payloadBytes(rv))
 			}
-			c.val = rv
-			e.ifmu.Lock()
-			delete(e.inflight, key)
-			e.ifmu.Unlock()
-			close(c.done)
 			return rv, TierRemote, -1, rpeer, nil
 		}
 		if rerr != nil {
@@ -876,26 +791,59 @@ func (e *Engine) runOrJoin(key string, s Shard, exp string, meta any, shardKey, 
 		e.rec.Record(obs.QueueWait, wid, idx, exp, s.Key, enq, queue, 0)
 	}
 	t0 := time.Now()
-	c.val, c.err = runShard(s)
+	v, err = runShard(s)
 	d := time.Since(t0)
 	t.ExecTime += d
 	e.sem <- wid
-	if c.err == nil {
-		e.tierPut(key, c.val)
-	}
+	e.release(key, c, v, err)
 	if e.rec != nil {
 		var size int64
-		if c.err == nil {
-			size = payloadBytes(c.val)
+		if err == nil {
+			size = payloadBytes(v)
 		}
 		e.rec.Record(obs.Execute, wid, idx, exp, s.Key, t0, d, size)
 	}
+	return v, "", wid, "", err
+}
 
+// claim makes the caller the single executor of key, or joins the
+// execution that already owns it. A nil c means the caller joined: v
+// and err are the result of the concurrent execution it waited on, or
+// the cached payload of one that finished after the caller's tier miss
+// — an executor puts its result before it releases the key, so absent
+// from inflight and present in the cache is authoritative and must not
+// be recomputed. peek keeps the hit/miss counters honest: the caller
+// already recorded this lookup as a miss. A non-nil c must be handed
+// to release.
+func (e *Engine) claim(key string) (c *inflightShard, v any, err error) {
+	e.ifmu.Lock()
+	if j, ok := e.inflight[key]; ok {
+		e.ifmu.Unlock()
+		<-j.done
+		return nil, j.val, j.err
+	}
+	if v, ok := e.cache.peek(key); ok {
+		e.ifmu.Unlock()
+		return nil, v, nil
+	}
+	c = &inflightShard{done: make(chan struct{})}
+	e.inflight[key] = c
+	e.ifmu.Unlock()
+	return c, nil, nil
+}
+
+// release publishes a claimed key's result: a success is put in both
+// cache tiers, then the key leaves the in-flight set and its joiners
+// wake with v and err.
+func (e *Engine) release(key string, c *inflightShard, v any, err error) {
+	if err == nil {
+		e.tierPut(key, v)
+	}
+	c.val, c.err = v, err
 	e.ifmu.Lock()
 	delete(e.inflight, key)
 	e.ifmu.Unlock()
 	close(c.done)
-	return c.val, "", wid, "", c.err
 }
 
 // ResolveLocal serves one shard address on behalf of a fabric

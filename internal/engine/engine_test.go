@@ -366,6 +366,15 @@ func TestExecuteBatchDeduplicatesShards(t *testing.T) {
 		overlappingPlan("exp", "fp", []string{"b", "c"}, &n), // b shared with plan 0
 		overlappingPlan("exp", "fp", []string{"a", "b"}, &n), // fully duplicate point
 	}
+	var mu sync.Mutex
+	events := make([][]ShardEvent, len(plans))
+	for pi := range plans {
+		plans[pi].OnShard = func(ev ShardEvent) {
+			mu.Lock()
+			events[pi] = append(events[pi], ev)
+			mu.Unlock()
+		}
+	}
 	outs, stats, errs, bs := e.ExecuteBatch(plans)
 	for i, err := range errs {
 		if err != nil {
@@ -389,6 +398,28 @@ func TestExecuteBatchDeduplicatesShards(t *testing.T) {
 	for i, st := range stats {
 		if st.CacheHits+st.Executed != st.Shards {
 			t.Fatalf("plan %d accounting does not close: %+v", i, st)
+		}
+	}
+	// Every plan hears once about each of its shards: the first
+	// reference to a key as an execution, every later one as a join.
+	joins := map[[2]int]bool{{1, 0}: true, {2, 0}: true, {2, 1}: true}
+	for pi, evs := range events {
+		if len(evs) != len(plans[pi].Shards) {
+			t.Fatalf("plan %d: %d events for %d shards: %+v", pi, len(evs), len(plans[pi].Shards), evs)
+		}
+		seen := map[int]bool{}
+		for _, ev := range evs {
+			if seen[ev.Index] || ev.Key != plans[pi].Shards[ev.Index].Key || ev.Err != nil {
+				t.Fatalf("plan %d: bad or repeated event %+v", pi, ev)
+			}
+			seen[ev.Index] = true
+			if joins[[2]int{pi, ev.Index}] {
+				if !ev.Cached || ev.Tier != TierJoin || ev.Worker != -1 {
+					t.Fatalf("plan %d shard %d: want a join, got %+v", pi, ev.Index, ev)
+				}
+			} else if ev.Cached || ev.Tier != "" || ev.Worker < 0 {
+				t.Fatalf("plan %d shard %d: want an execution, got %+v", pi, ev.Index, ev)
+			}
 		}
 	}
 }

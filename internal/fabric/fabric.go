@@ -53,11 +53,6 @@ const (
 // execution instead of being read without bound.
 var maxPeerPayload int64 = 64 << 20
 
-// errPermanent marks answers a resend cannot fix: key skew, an unknown
-// experiment or shard (a build or configuration mismatch), or a payload
-// past the cap.
-var errPermanent = errors.New("permanent peer error")
-
 // peer is the client-side state for one configured peer.
 type peer struct {
 	url  string
@@ -146,6 +141,10 @@ func (c *Client) Resolve(key string, req engine.RemoteRequest) (v any, peerURL s
 	if owner == localMember {
 		return nil, "", false, nil
 	}
+	// The circuit is checked once a slot is held: a dispatch that queued
+	// behind the semaphore while the owner failed must not reach it.
+	c.sem <- struct{}{}
+	defer func() { <-c.sem }()
 	pr := c.peers[owner]
 	if !pr.up(time.Now()) {
 		return nil, "", false, nil
@@ -162,9 +161,6 @@ func (c *Client) Resolve(key string, req engine.RemoteRequest) (v any, peerURL s
 	if err != nil {
 		return nil, "", false, err
 	}
-
-	c.sem <- struct{}{}
-	defer func() { <-c.sem }()
 	pr.mu.Lock()
 	pr.dispatches++
 	pr.mu.Unlock()
@@ -200,18 +196,12 @@ func (c *Client) post(base string, body []byte) (v any, tier string, err error) 
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		err := fmt.Errorf("fabric: peer %s: %s: %s", base, resp.Status, strings.TrimSpace(string(msg)))
-		// Key skew or an unknown experiment/shard is a build or
-		// configuration mismatch.
-		if resp.StatusCode == http.StatusConflict || resp.StatusCode == http.StatusNotFound {
-			err = fmt.Errorf("%w: %w", errPermanent, err)
-		}
-		return nil, "", err
+		return nil, "", fmt.Errorf("fabric: peer %s: %s: %s", base, resp.Status, strings.TrimSpace(string(msg)))
 	}
 	lr := &io.LimitedReader{R: resp.Body, N: c.maxPayload + 1}
 	v, err = engine.DecodePayload(lr)
 	if lr.N == 0 {
-		return nil, "", fmt.Errorf("%w: fabric: peer %s: payload exceeds %d bytes", errPermanent, base, c.maxPayload)
+		return nil, "", fmt.Errorf("fabric: peer %s: payload exceeds %d bytes", base, c.maxPayload)
 	}
 	if err != nil {
 		return nil, "", fmt.Errorf("fabric: peer %s: decode payload: %w", base, err)

@@ -2,8 +2,9 @@ package ledger
 
 // This file bridges the engine's in-process observability into durable
 // Record fields: one engine call's own accounting (the tier split and
-// latency Tally that Execute and ExecuteBatch return) and the
-// obs.Analyze profile summary for traced runs.
+// latency Tally that ExecuteBatch returns per plan and per batch, and
+// Execute — a one-plan batch — per run) and the obs.Analyze profile
+// summary for traced runs.
 
 import (
 	"time"

@@ -4,10 +4,12 @@
 // through core.PlanFor (so its shards carry exactly the cache addresses
 // a single /v1/run or `rowpress run` of the same options would use), and
 // the whole grid executes as one deduplicated engine.ExecuteBatch on the
-// shared worker pool and shard cache. Points that overlap each other —
-// or any previously completed single run on the same engine — hit the
-// cache instead of recomputing, and each point's report is byte-identical
-// to the equivalent single run.
+// shared worker pool and shard cache. A single run is the same call with
+// one plan (engine.Execute), so a grid point resolves, merges, traces and
+// accounts exactly as that run does. Points that overlap each other — or
+// any previously completed single run on the same engine — hit the cache
+// instead of recomputing, and each point's report is byte-identical to
+// the equivalent single run.
 //
 // The follow-up RowPress characterization studies (arXiv:2406.16153,
 // arXiv:2406.13080) structure their experiments exactly this way:
